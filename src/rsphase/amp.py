@@ -87,33 +87,37 @@ def generate(prior: DiscretePrior, n: int, p: int, sigma2: float,
                               sigma2=float(sigma2), seed=seed, prior=prior)
 
 
-def _se_step(prior, delta, snr, s, mmse_fn, tol):
-    if mmse_fn is not None:
-        m = mmse_fn(s)
-    else:
-        m, _ = channel.mmse_eval(prior, s, tol=tol)
-    return delta / (1.0 / snr + m)
+def _se_run(prior, delta, snr, t_max, tol=None, mmse_fn=None):
+    """State evolution from the cold start, and the M(s_t) values it used.
+
+    Returns ``(s, m)``: ``s[t+1] = delta / (1/snr + m[t])`` with
+    ``m[t] = M(s[t])``.  Runs ``t_max`` steps, or stops after the first step
+    within ``tol`` relative of its start (``tol=None`` never stops early).
+    """
+    if not delta > 0.0 or not snr > 0.0:
+        raise ValueError("delta and snr must be positive")
+    s = [delta * snr / (1.0 + snr)]
+    m = []
+    for _ in range(t_max):
+        m.append(mmse_fn(s[-1]) if mmse_fn is not None
+                 else channel.mmse_eval(prior, s[-1])[0])
+        s.append(delta / (1.0 / snr + m[-1]))
+        if tol is not None and abs(s[-1] - s[-2]) <= tol * s[-2]:
+            break
+    return np.asarray(s, dtype=float), np.asarray(m, dtype=float)
 
 
-def se_sequence(prior: DiscretePrior, delta: float, snr: float, t_max: int,
-                *, mmse_fn=None, tol: float = channel.QUAD_TOL) -> np.ndarray:
+def se_sequence(prior: DiscretePrior, delta: float, snr: float, t_max: int) -> np.ndarray:
     """Effective-SNR iterates s_0..s_{t_max} of state evolution (no stopping).
 
     Cold start s_0 = delta*snr/(1+snr), i.e. initial MSE equal to the unit
     prior variance; then s_{t+1} = delta / (1/snr + M(s_t)).
     """
-    if not delta > 0.0 or not snr > 0.0:
-        raise ValueError("delta and snr must be positive")
-    s = np.empty(t_max + 1)
-    s[0] = delta * snr / (1.0 + snr)
-    for t in range(t_max):
-        s[t + 1] = _se_step(prior, delta, snr, s[t], mmse_fn, tol)
-    return s
+    return _se_run(prior, delta, snr, t_max)[0]
 
 
 def state_evolution(prior: DiscretePrior, delta: float, snr: float,
-                    t_max: int = SE_T_MAX, tol: float = SE_TOL, *,
-                    mmse_fn=None, quad_tol: float = channel.QUAD_TOL):
+                    t_max: int = SE_T_MAX, tol: float = SE_TOL, *, mmse_fn=None):
     """Iterate state evolution to its fixed point.
 
     Returns ``(s_limit, iterates)`` where ``iterates[0]`` is the cold start.
@@ -126,18 +130,13 @@ def state_evolution(prior: DiscretePrior, delta: float, snr: float,
         raise ValueError(f"t_max must be >= 1, got {t_max!r}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if not delta > 0.0 or not snr > 0.0:
-        raise ValueError("delta and snr must be positive")
-    iterates = [delta * snr / (1.0 + snr)]
-    for _ in range(t_max):
-        s_next = _se_step(prior, delta, snr, iterates[-1], mmse_fn, quad_tol)
-        step = abs(s_next - iterates[-1])
-        iterates.append(s_next)
-        if step <= tol * iterates[-2]:
-            return float(s_next), np.asarray(iterates)
+    iterates, _ = _se_run(prior, delta, snr, t_max, tol, mmse_fn)
+    last = float(iterates[-1])
+    if abs(last - iterates[-2]) <= tol * iterates[-2]:
+        return last, iterates
     raise ConvergenceError(
         f"state evolution did not converge within {t_max} iterations "
-        f"(last iterate {iterates[-1]!r})", last_iterate=float(iterates[-1]))
+        f"(last iterate {last!r})", last_iterate=last)
 
 
 @dataclass
@@ -240,12 +239,8 @@ def run_amp(instance: RegressionInstance, prior: DiscretePrior,
 
     snr = instance.snr
     if math.isfinite(snr):
-        se_snr = se_sequence(prior, delta, snr, t_done)
-        se_mse = np.empty(t_done + 1)
-        se_mse[0] = 1.0
-        for t in range(t_done):
-            m, _ = channel.mmse_eval(prior, se_snr[t])
-            se_mse[t + 1] = m
+        se_snr, m = _se_run(prior, delta, snr, t_done)
+        se_mse = np.concatenate([[1.0], m])
     else:
         se_snr = np.full(t_done + 1, np.nan)
         se_mse = np.full(t_done + 1, np.nan)

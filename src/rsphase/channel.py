@@ -176,10 +176,15 @@ def _adaptive(nodes_fn, prior, s_arr, tol):
         f"stabilize within {tol:g} (prior {prior.label or prior.atoms})")
 
 
-def _adaptive_chunked(nodes_fn, prior, s_values, tol, nodes=None):
+def _snr_grid(s_values) -> np.ndarray:
     s_arr = np.asarray(s_values, dtype=float)
     if np.any(s_arr < 0.0) or not np.all(np.isfinite(s_arr)):
         raise ValueError("SNR grid values must be finite and nonnegative")
+    return s_arr
+
+
+def _adaptive_chunked(nodes_fn, prior, s_values, tol, nodes=None):
+    s_arr = _snr_grid(s_values)
     out = np.empty_like(s_arr)
     pos = s_arr > 0.0
     idx = np.flatnonzero(pos)
@@ -198,11 +203,7 @@ def mmse(prior: DiscretePrior, s: float, *, tol: float = QUAD_TOL) -> float:
     Raises :class:`QuadratureError` if the adaptive node ladder cannot reach
     ``tol`` agreement between successive refinements.
     """
-    if s < 0.0 or not math.isfinite(s):
-        raise ValueError(f"s must be finite and nonnegative, got {s!r}")
-    if s == 0.0:
-        return float(prior.weight_array @ (prior.atom_array ** 2))
-    return float(_adaptive(_mmse_nodes, prior, np.asarray([s], dtype=float), tol)[0])
+    return float(mmse_curve(prior, [s], tol=tol)[0])
 
 
 def mmse_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL,
@@ -223,11 +224,7 @@ def mutual_info(prior: DiscretePrior, s: float, *, tol: float = QUAD_TOL) -> flo
     The direct path is entropy quadrature over the mixture output; the
     integral of M is used only as an independent cross-check in the tests.
     """
-    if s < 0.0 or not math.isfinite(s):
-        raise ValueError(f"s must be finite and nonnegative, got {s!r}")
-    if s == 0.0:
-        return 0.0
-    return float(_adaptive(_mi_nodes, prior, np.asarray([s], dtype=float), tol)[0])
+    return float(mutual_info_curve(prior, [s], tol=tol)[0])
 
 
 def mutual_info_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL,
@@ -282,16 +279,16 @@ def approx_epsilon(prior: DiscretePrior):
 
 def mmse_eval(prior: DiscretePrior, s: float, *, tol: float = QUAD_TOL):
     """M(s) together with the evaluation-mode tag ('quadrature' or 'approx')."""
-    eps = approx_epsilon(prior)
-    if eps is not None:
-        if s == 0.0:
-            return 1.0, MODE_APPROX
-        return float(mmse_q_approx(eps, s)), MODE_APPROX
-    return mmse(prior, s, tol=tol), MODE_QUADRATURE
+    m_vals, mode = mmse_eval_curve(prior, [s], tol=tol)
+    return float(m_vals[0]), mode
 
 
 def mutual_info_eval(prior: DiscretePrior, s: float, *, tol: float = QUAD_TOL):
-    """I(s) together with the evaluation-mode tag."""
+    """I(s) together with the evaluation-mode tag.
+
+    On the surrogate path the scalar value is one adaptive integral of the
+    surrogate, which is tighter than the trapezoid of the curve version.
+    """
     eps = approx_epsilon(prior)
     if eps is not None:
         return mutual_info_q_approx(eps, s), MODE_APPROX
@@ -299,8 +296,10 @@ def mutual_info_eval(prior: DiscretePrior, s: float, *, tol: float = QUAD_TOL):
 
 
 def mmse_eval_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL):
+    """M on an s grid plus the mode tag.  This and :func:`mutual_info_eval_curve`
+    route a prior to quadrature or to the tail surrogate for the other layers."""
     eps = approx_epsilon(prior)
-    s_arr = np.asarray(s_values, dtype=float)
+    s_arr = _snr_grid(s_values)
     if eps is not None:
         out = np.where(s_arr > 0.0, mmse_q_approx(eps, np.maximum(s_arr, 1e-300)), 1.0)
         return out, MODE_APPROX
@@ -308,8 +307,9 @@ def mmse_eval_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL):
 
 
 def mutual_info_eval_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL):
+    """I on a grid of s values, plus the mode tag (see :func:`mmse_eval_curve`)."""
     eps = approx_epsilon(prior)
-    s_arr = np.asarray(s_values, dtype=float)
+    s_arr = _snr_grid(s_values)
     if eps is not None:
         # Cumulative trapezoid of the surrogate on a dense grid, then interpolate:
         # far cheaper than one adaptive integral per grid point and accurate to

@@ -16,6 +16,8 @@ import json
 import math
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -45,10 +47,10 @@ class SweepSpec:
     seed: int = 0
     jobs: int = 1
     prior: dict | None = None
-    epsilons: list = field(default_factory=list)
-    snrs: list = field(default_factory=list)
-    rs: list = field(default_factory=list)
-    kinds: list = field(default_factory=lambda: ["mmse", "amp"])
+    epsilons: list[float] = field(default_factory=list)
+    snrs: list[float] = field(default_factory=list)
+    rs: list[float] = field(default_factory=list)
+    kinds: list[str] = field(default_factory=lambda: ["mmse", "amp"])
     delta: float | None = None
     snr: float | None = None
     epsilon: float | None = None
@@ -225,8 +227,9 @@ def _phase_cell(cell):
 def _run_phase(spec: SweepSpec) -> list:
     cells = [(e, v, r, k) for e in spec.epsilons for v in spec.snrs
              for r in spec.rs for k in spec.kinds]
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    workers = min(spec.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_phase_cell, cells, chunksize=1))
     else:
         results = [_phase_cell(c) for c in cells]
@@ -310,8 +313,8 @@ def _run_figure2(spec: SweepSpec) -> list:
             mode = "limit"
         else:
             vals = potential.normalized_curve(eps, r, spec.snr, t_grid)
-            mode = (channel.MODE_APPROX if eps < channel.APPROX_EPSILON
-                    else channel.MODE_QUADRATURE)
+            mode = (channel.MODE_QUADRATURE if channel.approx_epsilon(two_point(eps)) is None
+                    else channel.MODE_APPROX)
         for t, v in zip(t_grid, vals):
             rows.append([_fmt(t), _fmt(v), _fmt(r), mode])
     path = os.path.join(spec.out, "figure2.csv")
@@ -509,6 +512,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value matches a SweepSpec annotation (ints pass as floats)."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _spec_from_args(args) -> SweepSpec:
     base = {}
     if getattr(args, "config", None):
@@ -517,9 +532,13 @@ def _spec_from_args(args) -> SweepSpec:
         if not isinstance(base, dict):
             raise SpecError("config: top level must be a JSON object")
     spec = SweepSpec(mode=args.mode)
+    hints = typing.get_type_hints(SweepSpec)
     for key, value in base.items():
-        if not hasattr(spec, key):
+        if key not in hints:
             raise SpecError(f"config: unknown field {key!r}")
+        if not _fits(value, hints[key]):
+            raise SpecError(f"{key}: {value!r} is not of type "
+                            f"{SweepSpec.__annotations__[key]}")
         setattr(spec, key, value)
     spec.mode = args.mode
 
@@ -563,6 +582,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (potential.BracketError, channel.QuadratureError, amp.ConvergenceError,
+            amp.DivergenceError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     for path in paths:
         print(f"wrote {path}")
     return 0

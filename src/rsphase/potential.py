@@ -10,6 +10,7 @@ bounds every search.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,20 +60,16 @@ def _check_params(delta, snr):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
 
 
-def potential(delta: float, snr: float, prior: DiscretePrior, s: float,
-              *, tol: float | None = None) -> float:
+def potential(delta: float, snr: float, prior: DiscretePrior, s: float) -> float:
     """Potential value F(s); raises ValueError at s <= 0 (log singularity)."""
     _check_params(delta, snr)
     if not s > 0.0:
         raise ValueError(f"s must be positive, got {s!r}")
-    if tol is None:
-        tol = _mi_tol(prior)
-    i_val, _ = channel.mutual_info_eval(prior, s, tol=tol)
+    i_val, _ = channel.mutual_info_eval(prior, s, tol=_mi_tol(prior))
     return i_val + 0.5 * delta * _logdiv(s / (delta * snr))
 
 
-def potential_deriv(delta: float, snr: float, prior: DiscretePrior, s: float,
-                    *, tol: float | None = None) -> float:
+def potential_deriv(delta: float, snr: float, prior: DiscretePrior, s: float) -> float:
     """Exact derivative F'(s) = (M(s) + 1/snr - delta/s) / 2.
 
     Exactness follows from I'(s) = M(s)/2 on the scalar channel, so this
@@ -81,9 +78,7 @@ def potential_deriv(delta: float, snr: float, prior: DiscretePrior, s: float,
     _check_params(delta, snr)
     if not s > 0.0:
         raise ValueError(f"s must be positive, got {s!r}")
-    if tol is None:
-        tol = channel.QUAD_TOL
-    m_val, _ = channel.mmse_eval(prior, s, tol=tol)
+    m_val, _ = channel.mmse_eval(prior, s)
     return 0.5 * (m_val + 1.0 / snr - delta / s)
 
 
@@ -97,14 +92,16 @@ class PotentialLandscape:
     f_star: float
     s_lower_star: float
     s_upper_star: float
-    s_amp: float
     bracket: tuple
     multi_minima: bool
 
+    @functools.cached_property
+    def s_amp(self) -> float:
+        """Smallest stationary point; found on first access only."""
+        return smallest_stationary(self.delta, self.snr, self.prior)
 
-def smallest_stationary(delta: float, snr: float, prior: DiscretePrior,
-                        *, scan_points: int = SCAN_POINTS,
-                        tol: float | None = None) -> float:
+
+def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float:
     """Smallest s at which F'(s) = 0.
 
     Every stationary point solves s*(M(s) + 1/snr) = delta, so the residual is
@@ -113,11 +110,9 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior,
     result the *first* crossing; the residual is continuous but not monotone.
     """
     _check_params(delta, snr)
-    if tol is None:
-        tol = channel.QUAD_TOL
     lo, hi = stationary_bracket(delta, snr)
-    grid = np.geomspace(lo, hi, scan_points)
-    m_vals, _ = channel.mmse_eval_curve(prior, grid, tol=tol)
+    grid = np.geomspace(lo, hi, SCAN_POINTS)
+    m_vals, _ = channel.mmse_eval_curve(prior, grid)
     resid = grid * (m_vals + 1.0 / snr) - delta
     if resid[0] >= 0.0:
         raise BracketError(
@@ -132,16 +127,14 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior,
     k = int(above[0])
 
     def residual(s):
-        m_val, _ = channel.mmse_eval(prior, s, tol=tol)
+        m_val, _ = channel.mmse_eval(prior, s)
         return s * (m_val + 1.0 / snr) - delta
 
     root = brentq(residual, grid[k - 1], grid[k], xtol=lo * 1e-14, rtol=1e-12)
     return float(root)
 
 
-def minimize(delta: float, snr: float, prior: DiscretePrior,
-             *, grid_points: int = GRID_POINTS,
-             tol: float | None = None) -> PotentialLandscape:
+def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandscape:
     """Locate the global minimum of F and its extreme minimizers.
 
     Dense log-spaced scan over the (padded) admissible interval, then local
@@ -151,10 +144,9 @@ def minimize(delta: float, snr: float, prior: DiscretePrior,
     what exposes the coexistence regime near a first-order transition.
     """
     _check_params(delta, snr)
-    if tol is None:
-        tol = _mi_tol(prior)
+    tol = _mi_tol(prior)
     lo, hi = stationary_bracket(delta, snr)
-    s_grid = np.geomspace(lo * (1.0 - BRACKET_PAD), hi * (1.0 + BRACKET_PAD), grid_points)
+    s_grid = np.geomspace(lo * (1.0 - BRACKET_PAD), hi * (1.0 + BRACKET_PAD), GRID_POINTS)
     i_vals, _ = channel.mutual_info_eval_curve(prior, s_grid, tol=tol)
     f_vals = i_vals + 0.5 * delta * _logdiv(s_grid / (delta * snr))
 
@@ -195,9 +187,8 @@ def minimize(delta: float, snr: float, prior: DiscretePrior,
     winners = [s for s, f in merged if f <= level]
     s_lower, s_upper = min(winners), max(winners)
     multi = (s_upper - s_lower) > 1e-6 * delta * snr
-    s_amp = smallest_stationary(delta, snr, prior)
     return PotentialLandscape(delta, snr, prior, f_star, s_lower, s_upper,
-                              s_amp, (lo, hi), multi)
+                              (lo, hi), multi)
 
 
 def normalized_potential(epsilon: float, r: float, snr: float, t: float) -> float:
@@ -207,63 +198,36 @@ def normalized_potential(epsilon: float, r: float, snr: float, t: float) -> floa
     threshold, i.e. delta = 2*r*H/ln(1+snr), so curves for different epsilon
     are directly comparable on the t axis.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    return float(normalized_curve(epsilon, r, snr, [t])[0])
+
+
+def normalized_curve(epsilon: float, r: float, snr: float, t_values) -> np.ndarray:
+    """Normalized potential on a grid of t values (vectorized).
+
+    By I' = M/2 the normalized information is I(2*H*t)/H, so the curve is the
+    channel layer's information rescaled by 2*H, plus the rescaled penalty.
+    """
+    t_arr = np.asarray(t_values, dtype=float)
+    if np.any(t_arr <= 0.0):
+        raise ValueError("t grid must be positive")
     if not r > 0.0:
         raise ValueError(f"r must be positive, got {r!r}")
     _check_params(r, snr)
     h = two_point_entropy(epsilon)
     c = math.log1p(snr)
-    if epsilon >= channel.APPROX_EPSILON:
-        prior = two_point(epsilon)
-        delta = 2.0 * r * h / c
-        return potential(delta, snr, prior, 2.0 * h * t) / h
-    i_norm = float(_i_norm_approx(epsilon, np.asarray([t]))[0])
-    return i_norm + (r / c) * _logdiv(t * c / (r * snr))
+    prior = two_point(epsilon)
+    i_vals, _ = channel.mutual_info_eval_curve(prior, 2.0 * h * t_arr, tol=_mi_tol(prior))
+    return i_vals / h + (r / c) * _logdiv(t_arr * c / (r * snr))
 
 
-def _i_norm_approx(epsilon: float, t_arr: np.ndarray, t_hi: float | None = None) -> np.ndarray:
-    """I(2*H*t)/H for tiny epsilon, via the tail surrogate and I' = M/2.
-
-    On the t axis the normalized information is the running integral of the
-    normalized MMSE, which is evaluated by a dense cumulative trapezoid.
-    """
-    h = two_point_entropy(epsilon)
-    if t_hi is None:
-        t_hi = float(t_arr.max())
-    base = np.linspace(0.0, max(t_hi, 1e-6), 8192)
-    m = np.empty_like(base)
-    m[0] = 1.0
-    m[1:] = channel.mmse_q_approx(epsilon, 2.0 * h * base[1:])
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (m[1:] + m[:-1]) * np.diff(base))])
-    return np.interp(t_arr, base, cum)
-
-
-def normalized_curve(epsilon: float, r: float, snr: float, t_values) -> np.ndarray:
-    """Normalized potential on a grid of t values (vectorized)."""
-    t_arr = np.asarray(t_values, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise ValueError("t grid must be positive")
-    h = two_point_entropy(epsilon)
-    c = math.log1p(snr)
-    pen = (r / c) * _logdiv(t_arr * c / (r * snr))
-    if epsilon >= channel.APPROX_EPSILON:
-        prior = two_point(epsilon)
-        i_vals, _ = channel.mutual_info_eval_curve(prior, 2.0 * h * t_arr,
-                                                   tol=_mi_tol(prior))
-        return i_vals / h + pen
-    return _i_norm_approx(epsilon, t_arr) + pen
-
-
-def normalized_argmin(epsilon: float, r: float, snr: float,
-                      *, grid_points: int = GRID_POINTS) -> float:
+def normalized_argmin(epsilon: float, r: float, snr: float) -> float:
     """Location (in t) of the global minimum of the normalized potential."""
     h = two_point_entropy(epsilon)
     c = math.log1p(snr)
-    if epsilon >= channel.APPROX_EPSILON:
-        prior = two_point(epsilon)
+    prior = two_point(epsilon)
+    if channel.approx_epsilon(prior) is None:
         delta = 2.0 * r * h / c
-        land = minimize(delta, snr, prior, grid_points=grid_points)
+        land = minimize(delta, snr, prior)
         # Report the basin that actually attains the minimum value.
         f_lo = potential(delta, snr, prior, land.s_lower_star)
         f_hi = potential(delta, snr, prior, land.s_upper_star)
@@ -271,7 +235,7 @@ def normalized_argmin(epsilon: float, r: float, snr: float,
         return s_best / (2.0 * h)
     t_lo = r * snr / ((1.0 + snr) * c) * (1.0 - BRACKET_PAD)
     t_hi = r * snr / c * (1.0 + BRACKET_PAD)
-    t_grid = np.geomspace(t_lo, t_hi, grid_points)
+    t_grid = np.geomspace(t_lo, t_hi, GRID_POINTS)
     f_vals = normalized_curve(epsilon, r, snr, t_grid)
     i = int(np.argmin(f_vals))
     if 0 < i < len(t_grid) - 1:
@@ -287,35 +251,15 @@ def normalized_argmin(epsilon: float, r: float, snr: float,
     return float(t_grid[i])
 
 
-def normalized_smallest_stationary(epsilon: float, r: float, snr: float,
-                                   *, scan_points: int = SCAN_POINTS) -> float:
+def normalized_smallest_stationary(epsilon: float, r: float, snr: float) -> float:
     """Smallest stationary point of the normalized potential, in t units.
 
     ``r`` is the ratio of the undersampling ratio to the information
     threshold, exactly as in :func:`normalized_potential`.
     """
     h = two_point_entropy(epsilon)
-    c = math.log1p(snr)
-    if epsilon >= channel.APPROX_EPSILON:
-        prior = two_point(epsilon)
-        delta = 2.0 * r * h / c
-        return smallest_stationary(delta, snr, prior) / (2.0 * h)
-    t_lo = r * snr / ((1.0 + snr) * c)
-    t_hi = r * snr / c
-    grid = np.geomspace(t_lo, t_hi, scan_points)
-    m_vals = channel.mmse_q_approx(epsilon, 2.0 * h * grid)
-    resid = grid * (m_vals + 1.0 / snr) - r / c
-    if resid[0] >= 0.0:
-        raise BracketError("stationary residual nonnegative at the lower endpoint")
-    above = np.flatnonzero(resid >= 0.0)
-    if above.size == 0:
-        raise BracketError("no stationary point bracketed in the admissible interval")
-    k = int(above[0])
-
-    def residual(t):
-        return t * (channel.mmse_q_approx(epsilon, 2.0 * h * t) + 1.0 / snr) - r / c
-
-    return float(brentq(residual, grid[k - 1], grid[k], xtol=t_lo * 1e-14, rtol=1e-12))
+    delta = 2.0 * r * h / math.log1p(snr)
+    return smallest_stationary(delta, snr, two_point(epsilon)) / (2.0 * h)
 
 
 def limit_potential(r: float, snr: float, t) -> float:

@@ -43,12 +43,10 @@ def r_amp(snr: float) -> float:
     return potential.amp_threshold_ratio(snr)
 
 
-def l_constant(prior: DiscretePrior, *, tol: float | None = None) -> float:
+def l_constant(prior: DiscretePrior) -> float:
     """Information deficit H - I(2H); bounds how far I(s) sits below min(s/2, H)."""
     h = entropy(prior)
-    if tol is None:
-        tol = min(channel.QUAD_TOL, max(1e-13, 1e-4 * h))
-    i2h, _ = channel.mutual_info_eval(prior, 2.0 * h, tol=tol)
+    i2h, _ = channel.mutual_info_eval(prior, 2.0 * h, tol=potential._mi_tol(prior))
     return max(h - i2h, 0.0)
 
 
@@ -72,8 +70,8 @@ def transition_check(epsilon: float, snr: float, r: float, kind: str) -> float:
     """Channel MMSE at the relevant potential landmark for delta = r * threshold.
 
     ``kind`` selects which threshold scales delta: 'mmse' uses the information
-    threshold and reports M at the extreme global minimizer (upper for r < 1,
-    lower for r > 1); 'amp' uses the algorithmic threshold and reports M at the
+    threshold and reports M at the global minimizer whose basin has the lower
+    potential; 'amp' uses the algorithmic threshold and reports M at the
     smallest stationary point.  Values near 1 mean no recovery, near 0 mean
     essentially exact recovery.
     """
@@ -87,23 +85,13 @@ def transition_check(epsilon: float, snr: float, r: float, kind: str) -> float:
     # Ratio of delta to the information threshold; the algorithmic scaling is
     # the same landscape with r multiplied by the threshold ratio.
     r_eff = r if kind == KIND_MMSE else r * r_amp(snr)
-
-    if epsilon < channel.APPROX_EPSILON:
-        if kind == KIND_AMP:
-            t_hat = potential.normalized_smallest_stationary(epsilon, r_eff, snr)
-        else:
-            t_hat = potential.normalized_argmin(epsilon, r_eff, snr)
-        return float(channel.mmse_q_approx(epsilon, 2.0 * h * t_hat))
-
     prior = two_point(epsilon)
-    delta = r_eff * delta_mmse(h, snr)
     if kind == KIND_AMP:
-        s_hat = potential.smallest_stationary(delta, snr, prior)
+        s_hat = potential.smallest_stationary(r_eff * delta_mmse(h, snr), snr, prior)
     else:
-        land = potential.minimize(delta, snr, prior)
-        s_hat = land.s_upper_star if r < 1.0 else land.s_lower_star
+        s_hat = 2.0 * h * potential.normalized_argmin(epsilon, r_eff, snr)
     value, _ = channel.mmse_eval(prior, s_hat)
-    return float(value)
+    return value
 
 
 @dataclass

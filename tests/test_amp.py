@@ -15,7 +15,7 @@ from rsphase.amp import (
     se_sequence,
     state_evolution,
 )
-from rsphase.channel import mmse
+from rsphase.channel import mmse, mmse_eval
 from rsphase.potential import smallest_stationary
 from rsphase.prior import entropy, two_point
 from rsphase.thresholds import delta_amp, delta_mmse
@@ -124,6 +124,13 @@ class TestRunAmp:
         mean_mse = np.mean([tr.mse[:t_len + 1] for tr in traces], axis=0)
         predicted = traces[0].se_mse[:t_len + 1]
         assert float(np.max(np.abs(mean_mse - predicted))) <= 0.03
+
+    def test_se_reference_is_mmse_at_se_iterates(self, tracked_run):
+        prior, _, _, traces = tracked_run
+        tr = traces[0]
+        expected = [mmse_eval(prior, s)[0] for s in tr.se_snr[:-1]]
+        assert tr.se_mse[0] == 1.0
+        assert list(tr.se_mse[1:]) == expected
 
     def test_residual_power_consistency(self, tracked_run):
         # Seed-averaged tau_hat^2 tracks (1/delta) * (1/snr + MSE_t) within

@@ -225,6 +225,18 @@ class TestEvalModes:
             channel_curve(two_point(0.2), [1.0, 0.5])
 
 
+class TestScalarWrappers:
+    """Scalar evaluations are the size-1 case of the curve evaluations."""
+
+    @pytest.mark.parametrize("prior", [two_point(0.1), two_point(1e-16)])
+    def test_bitwise_equal_to_curve(self, prior):
+        for s in (0.0, 7e-15, 0.3, 4.0):
+            assert mmse(prior, s) == mmse_curve(prior, [s])[0]
+            assert mutual_info(prior, s) == mutual_info_curve(prior, [s])[0]
+            m_vals, mode = channel.mmse_eval_curve(prior, [s])
+            assert mmse_eval(prior, s) == (m_vals[0], mode)
+
+
 class TestBinaryFastPath:
     """The two-atom closed form must agree with a reference softmax evaluation."""
 

@@ -119,6 +119,31 @@ class TestPhaseCommand:
         assert ((tmp_path / "serial" / "phase.csv").read_bytes()
                 == (tmp_path / "par" / "phase.csv").read_bytes())
 
+    def test_pool_capped_by_cells_and_cpus(self, tmp_path, monkeypatch):
+        # A recorder stands in for the pool, so no worker process starts.
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        base = ["phase", "--epsilons", "0.05", "--snrs", "5", "--kinds", "mmse",
+                "--jobs", "64"]
+        assert main(base + ["--rs", "0.5,2.0", "--out", str(tmp_path / "a")]) == 0
+        assert main(base + ["--rs", "0.3,0.5,2.0,3.0", "--out", str(tmp_path / "b")]) == 0
+        assert sizes == [2, 3]
+
     def test_empty_grid_rejected_without_output(self, tmp_path):
         rc = main(["phase", "--epsilons", "", "--snrs", "5", "--rs", "0.5",
                    "--out", str(tmp_path / "x")])
@@ -202,6 +227,18 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"nonsense": 1}))
         assert main(["channel", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("field, value", [("jobs", "2"), ("epsilons", "0.1"),
+                                              ("s_points", 2.5)])
+    def test_mistyped_config_field(self, tmp_path, capsys, field, value):
+        config = {"epsilons": [0.1], "snrs": [5], "rs": [0.5], field: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["phase", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:")
+        assert "Traceback" not in err
+
     def test_discrete_prior_spec(self, tmp_path):
         root3 = math.sqrt(1.5)
         cfg = tmp_path / "cfg.json"
@@ -216,6 +253,17 @@ class TestConfigFile:
         assert len(body) == 5
         # Mutual information saturates at ln(3) for three equal atoms.
         assert float(body[-1][1]) < math.log(3.0) + 1e-9
+
+
+class TestRuntimeErrors:
+    def test_bracket_error_is_one_line(self, tmp_path, capsys):
+        # delta*snr so small that 1 - M(s) rounds to 0 at the lower bracket end.
+        rc = main(["potential", "--epsilon", "0.1", "--delta", "1e-300",
+                   "--snr", "5", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: BracketError: ")
+        assert err.count("\n") == 1
 
 
 class TestSelftest:

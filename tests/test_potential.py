@@ -311,6 +311,14 @@ class TestNormalizedSearch:
         t_high = normalized_smallest_stationary(1e-16, 4.0, 5.0)
         assert t_high > 1.0
 
+    def test_approx_mode_stationary_is_rescaled_s_space_root(self):
+        eps, snr = 1e-16, 5.0
+        h = two_point_entropy(eps)
+        for r in (0.5, 4.0):
+            delta = 2.0 * r * h / math.log1p(snr)
+            s_amp = smallest_stationary(delta, snr, two_point(eps))
+            assert normalized_smallest_stationary(eps, r, snr) == s_amp / (2.0 * h)
+
     def test_bracket_error_guard(self, monkeypatch):
         # A residual that starts nonnegative is impossible for a true MMSE
         # curve (it needs M(s) = 1 at positive s); fake one to hit the guard.

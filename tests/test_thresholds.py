@@ -123,15 +123,23 @@ class TestTransitionCheck:
     def test_gap_window_at_finite_epsilon(self):
         # Inside the computational gap the optimal error is essentially zero
         # while the smallest stationary point still carries an order-one MMSE.
-        # At eps = 1e-8 the coexistence window spans r in (1.0535, 1.2785):
-        # M(s_lower*) first drops to 0.05 at r = 1.0535 and M(s_amp) falls
-        # through 0.5 at r = 1.2785 (bisection on r).
+        # At eps = 1e-8 the coexistence window spans r in (1.00123, 1.2785):
+        # M at the lower-potential basin first drops to 0.05 at r = 1.00123
+        # and M(s_amp) falls through 0.5 at r = 1.2785 (bisection on r).
         eps, snr, r = 1e-8, 5.0, 1.1
         h = two_point_entropy(eps)
         prior = two_point(eps)
         land = minimize(r * delta_mmse(h, snr), snr, prior)
         assert mmse(prior, land.s_lower_star) <= 0.05
         assert mmse(prior, land.s_amp) >= 0.90
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11, 1e-12])
+    def test_lower_potential_basin_below_tie_tolerance(self, eps):
+        # Here the two basins differ in F by about |r - 1| H, which is less
+        # than minimize's tie tolerance; the check must still take the basin
+        # with the lower F: no recovery below the threshold, recovery above.
+        assert transition_check(eps, 5.0, 0.9, "mmse") >= 0.95
+        assert transition_check(eps, 5.0, 1.1, "mmse") <= 0.05
 
     def test_tiny_epsilon_routes_through_surrogate(self):
         val = transition_check(1e-16, 5.0, 0.5, "mmse")
