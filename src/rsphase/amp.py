@@ -87,7 +87,7 @@ def generate(prior: DiscretePrior, n: int, p: int, sigma2: float,
                               sigma2=float(sigma2), seed=seed, prior=prior)
 
 
-def _se_run(prior, delta, snr, t_max, tol=None, mmse_fn=None):
+def _se_run(prior, delta, snr, t_max, tol=None):
     """State evolution from the cold start, and the M(s_t) values it used.
 
     Returns ``(s, m)``: ``s[t+1] = delta / (1/snr + m[t])`` with
@@ -99,8 +99,7 @@ def _se_run(prior, delta, snr, t_max, tol=None, mmse_fn=None):
     s = [delta * snr / (1.0 + snr)]
     m = []
     for _ in range(t_max):
-        m.append(mmse_fn(s[-1]) if mmse_fn is not None
-                 else channel.mmse_eval(prior, s[-1])[0])
+        m.append(channel.mmse_eval(prior, s[-1])[0])
         s.append(delta / (1.0 / snr + m[-1]))
         if tol is not None and abs(s[-1] - s[-2]) <= tol * s[-2]:
             break
@@ -117,20 +116,18 @@ def se_sequence(prior: DiscretePrior, delta: float, snr: float, t_max: int) -> n
 
 
 def state_evolution(prior: DiscretePrior, delta: float, snr: float,
-                    t_max: int = SE_T_MAX, tol: float = SE_TOL, *, mmse_fn=None):
+                    t_max: int = SE_T_MAX, tol: float = SE_TOL):
     """Iterate state evolution to its fixed point.
 
     Returns ``(s_limit, iterates)`` where ``iterates[0]`` is the cold start.
     Raises :class:`ConvergenceError` (carrying the last iterate) if the
-    relative step stays above ``tol`` for ``t_max`` iterations.  ``mmse_fn``
-    overrides the channel MMSE, which the tests use to exercise degenerate
-    recursions.
+    relative step stays above ``tol`` for ``t_max`` iterations.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max!r}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    iterates, _ = _se_run(prior, delta, snr, t_max, tol, mmse_fn)
+    iterates, _ = _se_run(prior, delta, snr, t_max, tol)
     last = float(iterates[-1])
     if abs(last - iterates[-2]) <= tol * iterates[-2]:
         return last, iterates

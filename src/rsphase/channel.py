@@ -311,9 +311,13 @@ def mutual_info_eval_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_
     eps = approx_epsilon(prior)
     s_arr = _snr_grid(s_values)
     if eps is not None:
-        # Cumulative trapezoid of the surrogate on a dense grid, then interpolate:
-        # far cheaper than one adaptive integral per grid point and accurate to
-        # ~1e-6 because the surrogate transition is smooth on this scale.
+        # Cumulative trapezoid of the surrogate on 8192 even steps of [0, max s],
+        # then interpolate: far cheaper than one adaptive integral per point, but
+        # accurate only while the step max(s)/8191 is far below the transition
+        # width 2*eps*sqrt(2*ln(1/eps)) around s0 = 2*eps*ln(1/eps); a step of
+        # 1/13 of the width already errs by ~1% of H.  A step wider than s0
+        # swallows the transition, and I comes out as s/4 up to one step, then
+        # flat at step/4, instead of H.
         s_hi = float(s_arr.max())
         if s_hi == 0.0:
             return np.zeros_like(s_arr), MODE_APPROX

@@ -26,9 +26,6 @@ import numpy as np
 from . import __version__, amp, channel, potential, thresholds
 from .prior import prior_from_spec, two_point, two_point_entropy
 
-MODES = ("channel", "potential", "thresholds", "phase", "amp", "figure1",
-         "figure2", "selftest")
-
 
 class SpecError(ValueError):
     """Configuration failed validation; the message names the field."""
@@ -81,15 +78,17 @@ class SweepSpec:
         raise SpecError("prior: either a prior spec or an epsilon is required")
 
     def validate(self):
-        if self.mode not in MODES:
+        if self.mode not in SUBCOMMANDS:
             raise SpecError(f"mode: unknown mode {self.mode!r}")
         if self.jobs < 1:
             raise SpecError(f"jobs: must be >= 1, got {self.jobs}")
-        grids = {"epsilons": self.epsilons, "snrs": self.snrs, "rs": self.rs}
+        # "a|b" is satisfied by either field; None and [] count as unset.
+        for need in SUBCOMMANDS[self.mode].required:
+            names = need.split("|")
+            if all(getattr(self, name) in (None, []) for name in names):
+                raise SpecError(f"{names[0]}: {self.mode} mode requires "
+                                + " or ".join(names))
         if self.mode == "phase":
-            for name in ("epsilons", "snrs", "rs"):
-                if not grids[name]:
-                    raise SpecError(f"{name}: phase mode requires a non-empty grid")
             for e in self.epsilons:
                 if not 0.0 < e < 1.0:
                     raise SpecError(f"epsilons: value {e!r} outside (0, 1)")
@@ -99,38 +98,8 @@ class SweepSpec:
             for k in self.kinds:
                 if k not in ("mmse", "amp"):
                     raise SpecError(f"kinds: {k!r} is not 'mmse' or 'amp'")
-            if not self.kinds:
-                raise SpecError("kinds: phase mode requires at least one kind")
-        if self.mode == "figure1" and not self.epsilons:
-            raise SpecError("epsilons: figure1 mode requires a non-empty list")
-        if self.mode == "figure2":
-            if not self.rs:
-                raise SpecError("rs: figure2 mode requires a non-empty list")
-            if self.snr is None:
-                raise SpecError("snr: figure2 mode requires a value")
-            if self.epsilon is None:
-                raise SpecError("epsilon: figure2 mode requires a value (0 for the limit)")
-        if self.mode == "channel" and self.prior is None and self.epsilon is None:
-            raise SpecError("prior: channel mode requires a prior spec or epsilon")
-        if self.mode == "potential":
-            if self.delta is None or self.snr is None:
-                raise SpecError("delta/snr: potential mode requires both")
-            if self.prior is None and self.epsilon is None:
-                raise SpecError("prior: potential mode requires a prior spec or epsilon")
-        if self.mode == "thresholds":
-            if self.epsilon is None:
-                raise SpecError("epsilon: thresholds mode requires a value")
-            if self.snr is None and (self.p is None or self.sigma2 is None):
-                raise SpecError("snr: thresholds mode requires snr or (p, sigma2)")
-        if self.mode == "amp":
-            if self.p is None:
-                raise SpecError("p: amp mode requires the signal dimension")
-            if self.n_seeds is None or self.n_seeds < 1:
-                raise SpecError("n_seeds: amp mode requires at least one seed")
-            if self.delta is None or self.snr is None:
-                raise SpecError("delta/snr: amp mode requires both")
-            if self.prior is None and self.epsilon is None:
-                raise SpecError("prior: amp mode requires a prior spec or epsilon")
+        if self.mode == "amp" and self.n_seeds < 1:
+            raise SpecError("n_seeds: amp mode requires at least one seed")
         if self.s_points < 2 or self.t_points < 2:
             raise SpecError("grid: s_points and t_points must be >= 2")
         if not (0 < self.s_min < self.s_max):
@@ -140,28 +109,31 @@ class SweepSpec:
         return self
 
 
-def _header(spec: SweepSpec, columns: str) -> list:
-    return [
-        f"# rsphase {__version__}",
-        f"# mode={spec.mode} seed={spec.seed}",
-        f"# config_sha256={spec.config_hash()}",
-        f"# columns: {columns}",
-    ]
-
-
-def _write_csv(path: str, comment_lines: list, header_row: list, rows: list,
-               trailing_comments: list = ()):
+def _write_csv(spec: SweepSpec, name: str, columns: list, rows: list,
+               trailing_comments: list = ()) -> str:
+    """Write ``name`` under ``spec.out`` with the reproducibility header."""
     buf = io.StringIO()
-    for line in comment_lines:
+    for line in (f"# rsphase {__version__}", f"# mode={spec.mode} seed={spec.seed}",
+                 f"# config_sha256={spec.config_hash()}",
+                 f"# columns: {','.join(columns)}"):
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header_row)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerow(columns)
+    writer.writerows(rows)
     for line in trailing_comments:
         buf.write(line + "\n")
+    path = os.path.join(spec.out, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
+    return path
+
+
+def _write_json(spec: SweepSpec, name: str, data: dict) -> str:
+    path = os.path.join(spec.out, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return path
 
 
 def _run_channel(spec: SweepSpec) -> list:
@@ -170,10 +142,7 @@ def _run_channel(spec: SweepSpec) -> list:
     curve = channel.channel_curve(prior, s_grid)
     rows = [[_fmt(s), _fmt(i), _fmt(m), curve.mode]
             for s, i, m in zip(curve.s_grid, curve.i_values, curve.m_values)]
-    path = os.path.join(spec.out, "channel.csv")
-    _write_csv(path, _header(spec, "s,i_nats,mmse,mode"),
-               ["s", "i_nats", "mmse", "mode"], rows)
-    return [path]
+    return [_write_csv(spec, "channel.csv", ["s", "i_nats", "mmse", "mode"], rows)]
 
 
 def _run_potential(spec: SweepSpec) -> list:
@@ -192,19 +161,14 @@ def _run_potential(spec: SweepSpec) -> list:
                + " s_upper_star=" + _fmt(land.s_upper_star)
                + " s_amp=" + _fmt(land.s_amp)
                + " multi_minima=" + str(land.multi_minima).lower())
-    path = os.path.join(spec.out, "potential.csv")
-    _write_csv(path, _header(spec, "s,F,Fprime"), ["s", "F", "Fprime"], rows,
-               trailing_comments=[summary])
-    return [path]
+    return [_write_csv(spec, "potential.csv", ["s", "F", "Fprime"], rows,
+                       trailing_comments=[summary])]
 
 
 def _run_thresholds(spec: SweepSpec) -> list:
     rep = thresholds.report(spec.epsilon, spec.snr, p=spec.p, sigma2=spec.sigma2)
     d = rep.as_dict()
-    path = os.path.join(spec.out, "thresholds.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path = _write_json(spec, "thresholds.json", d)
     width = max(len(k) for k in d)
     lines = [f"{k.ljust(width)}  {_fmt(v)}" for k, v in sorted(d.items())]
     text = "\n".join(lines)
@@ -236,10 +200,8 @@ def _run_phase(spec: SweepSpec) -> list:
     rows = []
     for (eps, snr, r, kind), (value, err) in zip(cells, results):
         rows.append([_fmt(eps), _fmt(snr), _fmt(r), kind, value, err])
-    path = os.path.join(spec.out, "phase.csv")
-    _write_csv(path, _header(spec, "epsilon,snr,r,kind,m_value,error"),
-               ["epsilon", "snr", "r", "kind", "m_value", "error"], rows)
-    return [path]
+    return [_write_csv(spec, "phase.csv",
+                       ["epsilon", "snr", "r", "kind", "m_value", "error"], rows)]
 
 
 def _run_amp(spec: SweepSpec) -> list:
@@ -260,9 +222,8 @@ def _run_amp(spec: SweepSpec) -> list:
             rows.append([str(seed), str(t), _fmt(trace.mse[t]),
                          _fmt(trace.se_mse[t]), _fmt(trace.residual_var[t])])
         finals.append(float(trace.mse[-1]))
-    path = os.path.join(spec.out, "amp.csv")
-    _write_csv(path, _header(spec, "seed,t,mse_empirical,mse_se_predicted,tau2"),
-               ["seed", "t", "mse_empirical", "mse_se_predicted", "tau2"], rows)
+    path = _write_csv(spec, "amp.csv",
+                      ["seed", "t", "mse_empirical", "mse_se_predicted", "tau2"], rows)
     summary = {
         "p": p,
         "n": n,
@@ -279,11 +240,7 @@ def _run_amp(spec: SweepSpec) -> list:
         "abs_gap_to_prediction": abs(float(np.mean(finals)) - m_star),
         "config_sha256": spec.config_hash(),
     }
-    sum_path = os.path.join(spec.out, "amp_summary.json")
-    with open(sum_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return [path, sum_path]
+    return [path, _write_json(spec, "amp_summary.json", summary)]
 
 
 def _run_figure1(spec: SweepSpec) -> list:
@@ -297,10 +254,7 @@ def _run_figure1(spec: SweepSpec) -> list:
         m_vals, _ = channel.mmse_eval_curve(prior, s_vals)
         for t, i_val, m_val in zip(t_grid, i_vals, m_vals):
             rows.append([_fmt(eps), _fmt(t), _fmt(i_val / h), _fmt(m_val)])
-    path = os.path.join(spec.out, "figure1.csv")
-    _write_csv(path, _header(spec, "epsilon,t,i_norm,m_value"),
-               ["epsilon", "t", "i_norm", "m_value"], rows)
-    return [path]
+    return [_write_csv(spec, "figure1.csv", ["epsilon", "t", "i_norm", "m_value"], rows)]
 
 
 def _run_figure2(spec: SweepSpec) -> list:
@@ -317,10 +271,7 @@ def _run_figure2(spec: SweepSpec) -> list:
                     else channel.MODE_APPROX)
         for t, v in zip(t_grid, vals):
             rows.append([_fmt(t), _fmt(v), _fmt(r), mode])
-    path = os.path.join(spec.out, "figure2.csv")
-    _write_csv(path, _header(spec, "t,F_norm,r,mode"),
-               ["t", "F_norm", "r", "mode"], rows)
-    return [path]
+    return [_write_csv(spec, "figure2.csv", ["t", "F_norm", "r", "mode"], rows)]
 
 
 def _selftest_checks():
@@ -407,15 +358,53 @@ def _run_selftest(spec: SweepSpec) -> list:
     return []
 
 
-_RUNNERS = {
-    "channel": _run_channel,
-    "potential": _run_potential,
-    "thresholds": _run_thresholds,
-    "phase": _run_phase,
-    "amp": _run_amp,
-    "figure1": _run_figure1,
-    "figure2": _run_figure2,
-    "selftest": _run_selftest,
+class Subcommand(typing.NamedTuple):
+    """One CLI subcommand: its runner, its flags and the fields it needs."""
+
+    run: typing.Callable
+    help: str
+    flags: tuple = ()       # (flag, SweepSpec field) pairs
+    required: tuple = ()    # SweepSpec fields; "a|b" is satisfied by either
+
+
+_COMMON_FLAGS = (("--out", "out"), ("--seed", "seed"), ("--jobs", "jobs"))
+
+SUBCOMMANDS = {
+    "channel": Subcommand(
+        _run_channel, "emit (s, I, M) curve for one prior",
+        (("--epsilon", "epsilon"), ("--s-min", "s_min"), ("--s-max", "s_max"),
+         ("--points", "s_points")),
+        ("prior|epsilon",)),
+    "potential": Subcommand(
+        _run_potential, "emit the potential, its derivative, and minimizers",
+        (("--epsilon", "epsilon"), ("--delta", "delta"), ("--snr", "snr"),
+         ("--points", "s_points")),
+        ("delta", "snr", "prior|epsilon")),
+    "thresholds": Subcommand(
+        _run_thresholds, "print and write a threshold report",
+        (("--epsilon", "epsilon"), ("--snr", "snr"), ("--p", "p"), ("--sigma2", "sigma2")),
+        ("epsilon", "snr|p", "snr|sigma2")),
+    "phase": Subcommand(
+        _run_phase, "sweep transition checks over (epsilon, snr, r)",
+        (("--epsilons", "epsilons"), ("--snrs", "snrs"), ("--rs", "rs"),
+         ("--kinds", "kinds")),
+        ("epsilons", "snrs", "rs", "kinds")),
+    "amp": Subcommand(
+        _run_amp, "run AMP on synthetic instances across seeds",
+        (("--p", "p"), ("--delta", "delta"), ("--snr", "snr"), ("--epsilon", "epsilon"),
+         ("--seeds", "n_seeds"), ("--t-max", "t_max")),
+        ("p", "n_seeds", "delta", "snr", "prior|epsilon")),
+    "figure1": Subcommand(
+        _run_figure1, "normalized channel curves for an epsilon list",
+        (("--epsilons", "epsilons"), ("--t-min", "t_min"), ("--t-max", "t_max_grid"),
+         ("--points", "t_points")),
+        ("epsilons",)),
+    "figure2": Subcommand(
+        _run_figure2, "normalized potential curves for an r list (epsilon 0: the limit)",
+        (("--epsilon", "epsilon"), ("--snr", "snr"), ("--rs", "rs"), ("--t-min", "t_min"),
+         ("--t-max", "t_max_grid"), ("--points", "t_points")),
+        ("rs", "snr", "epsilon")),
+    "selftest": Subcommand(_run_selftest, "run the quick property battery"),
 }
 
 
@@ -424,7 +413,7 @@ def run(spec: SweepSpec) -> list:
     spec.validate()
     if spec.mode != "selftest":
         os.makedirs(spec.out, exist_ok=True)
-    return _RUNNERS[spec.mode](spec)
+    return SUBCOMMANDS[spec.mode].run(spec)
 
 
 def _float_list(text: str) -> list:
@@ -438,6 +427,16 @@ def _str_list(text: str) -> list:
     return [v.strip() for v in text.split(",") if v.strip() != ""]
 
 
+_FIELD_TYPES = typing.get_type_hints(SweepSpec)
+
+
+def _flag_type(hint):
+    """argparse type for a SweepSpec annotation."""
+    if typing.get_origin(hint) is types.UnionType:      # X | None
+        hint = typing.get_args(hint)[0]
+    return {list[float]: _float_list, list[str]: _str_list}.get(hint, hint)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsphase",
@@ -445,70 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "phase-transition thresholds, and AMP experiments.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    # All defaults are None so that values from --config are only overridden
-    # by flags the user actually typed; SweepSpec carries the real defaults.
-    def common(sp):
-        sp.add_argument("--config", help="JSON file with spec fields (flags override)")
-        sp.add_argument("--out", help="output directory (default: .)")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--jobs", type=int)
-
-    sp = sub.add_parser("channel", help="emit (s, I, M) curve for one prior")
-    common(sp)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--s-min", type=float)
-    sp.add_argument("--s-max", type=float)
-    sp.add_argument("--points", type=int)
-
-    sp = sub.add_parser("potential", help="emit the potential, its derivative, and minimizers")
-    common(sp)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--snr", type=float)
-    sp.add_argument("--points", type=int)
-
-    sp = sub.add_parser("thresholds", help="print and write a threshold report")
-    common(sp)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--snr", type=float)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--sigma2", type=float)
-
-    sp = sub.add_parser("phase", help="sweep transition checks over (epsilon, snr, r)")
-    common(sp)
-    sp.add_argument("--epsilons", type=_float_list)
-    sp.add_argument("--snrs", type=_float_list)
-    sp.add_argument("--rs", type=_float_list)
-    sp.add_argument("--kinds", type=_str_list)
-
-    sp = sub.add_parser("amp", help="run AMP on synthetic instances across seeds")
-    common(sp)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--snr", type=float)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--seeds", type=int, help="number of seeds")
-    sp.add_argument("--t-max", type=int)
-
-    sp = sub.add_parser("figure1", help="normalized channel curves for an epsilon list")
-    common(sp)
-    sp.add_argument("--epsilons", type=_float_list)
-    sp.add_argument("--t-min", type=float)
-    sp.add_argument("--t-max", type=float)
-    sp.add_argument("--points", type=int)
-
-    sp = sub.add_parser("figure2", help="normalized potential curves for an r list")
-    common(sp)
-    sp.add_argument("--epsilon", type=float, help="0 selects the limit curve")
-    sp.add_argument("--snr", type=float)
-    sp.add_argument("--rs", type=_float_list)
-    sp.add_argument("--t-min", type=float)
-    sp.add_argument("--t-max", type=float)
-    sp.add_argument("--points", type=int)
-
-    sp = sub.add_parser("selftest", help="run the quick property battery")
-    common(sp)
+    for mode, command in SUBCOMMANDS.items():
+        # A flag the user did not type stays out of the namespace, so it never
+        # overrides a --config value; SweepSpec carries the real defaults.
+        sp = sub.add_parser(mode, help=command.help, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", help="JSON file of the fields below (flags override)")
+        for flag, name in _COMMON_FLAGS + command.flags:
+            sp.add_argument(flag, dest=name, type=_flag_type(_FIELD_TYPES[name]))
     return parser
 
 
@@ -525,49 +467,24 @@ def _fits(value, hint) -> bool:
 
 
 def _spec_from_args(args) -> SweepSpec:
-    base = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-        if not isinstance(base, dict):
+    """The --config fields, overridden by the flags typed on the command line."""
+    flags = dict(vars(args))
+    config = {}
+    path = flags.pop("config", None)
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
             raise SpecError("config: top level must be a JSON object")
-    spec = SweepSpec(mode=args.mode)
-    hints = typing.get_type_hints(SweepSpec)
-    for key, value in base.items():
-        if key not in hints:
+    for key, value in config.items():
+        if key not in _FIELD_TYPES:
             raise SpecError(f"config: unknown field {key!r}")
-        if not _fits(value, hints[key]):
+        if not _fits(value, _FIELD_TYPES[key]):
             raise SpecError(f"{key}: {value!r} is not of type "
                             f"{SweepSpec.__annotations__[key]}")
-        setattr(spec, key, value)
-    spec.mode = args.mode
-
-    def take(attr, spec_field=None):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(spec, spec_field or attr, value)
-
-    for attr in ("out", "seed", "jobs", "epsilon", "delta", "snr", "p", "sigma2"):
-        take(attr)
-    take("epsilons")
-    take("snrs")
-    take("rs")
-    take("kinds")
-    take("seeds", "n_seeds")
-    take("s_min")
-    take("s_max")
-    if args.mode == "amp":
-        take("t_max")
-    if args.mode in ("channel", "potential"):
-        take("points", "s_points")
-    if args.mode in ("figure1", "figure2"):
-        take("points", "t_points")
-        take("t_min")
-        take("t_max", "t_max_grid")
-    if (args.mode == "figure2" and getattr(args, "t_max", None) is None
-            and "t_max_grid" not in base):
-        spec.t_max_grid = 6.0   # wide enough to show the upper-branch minima
-    return spec
+    if args.mode == "figure2":
+        config.setdefault("t_max_grid", 6.0)   # wide enough to show the upper-branch minima
+    return SweepSpec(**{**config, **flags})
 
 
 def main(argv=None) -> int:

@@ -94,6 +94,7 @@ class PotentialLandscape:
     s_upper_star: float
     bracket: tuple
     multi_minima: bool
+    s_best: float           # the extreme minimizer with the lower F (s_lower_star on a tie)
 
     @functools.cached_property
     def s_amp(self) -> float:
@@ -186,9 +187,11 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
     level = f_star + EQUAL_MIN_TOL * (1.0 + abs(f_star))
     winners = [s for s, f in merged if f <= level]
     s_lower, s_upper = min(winners), max(winners)
+    f_at = dict(merged)
+    s_best = s_lower if f_at[s_lower] <= f_at[s_upper] else s_upper
     multi = (s_upper - s_lower) > 1e-6 * delta * snr
     return PotentialLandscape(delta, snr, prior, f_star, s_lower, s_upper,
-                              (lo, hi), multi)
+                              (lo, hi), multi, s_best)
 
 
 def normalized_potential(epsilon: float, r: float, snr: float, t: float) -> float:
@@ -226,13 +229,7 @@ def normalized_argmin(epsilon: float, r: float, snr: float) -> float:
     c = math.log1p(snr)
     prior = two_point(epsilon)
     if channel.approx_epsilon(prior) is None:
-        delta = 2.0 * r * h / c
-        land = minimize(delta, snr, prior)
-        # Report the basin that actually attains the minimum value.
-        f_lo = potential(delta, snr, prior, land.s_lower_star)
-        f_hi = potential(delta, snr, prior, land.s_upper_star)
-        s_best = land.s_lower_star if f_lo <= f_hi else land.s_upper_star
-        return s_best / (2.0 * h)
+        return minimize(2.0 * r * h / c, snr, prior).s_best / (2.0 * h)
     t_lo = r * snr / ((1.0 + snr) * c) * (1.0 - BRACKET_PAD)
     t_hi = r * snr / c * (1.0 + BRACKET_PAD)
     t_grid = np.geomspace(t_lo, t_hi, GRID_POINTS)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rsphase import amp
+from rsphase import amp, channel
 from rsphase.amp import (
     ConvergenceError,
     DivergenceError,
@@ -62,9 +62,9 @@ class TestStateEvolution:
         _, iterates = state_evolution(two_point(0.5), 1.0, 1.0)
         assert iterates[0] == pytest.approx(0.5)    # delta*snr/(1+snr)
 
-    def test_zero_mmse_stub_converges_in_one_step(self):
-        s_limit, iterates = state_evolution(two_point(0.5), 0.8, 4.0,
-                                            mmse_fn=lambda s: 0.0)
+    def test_zero_mmse_stub_converges_in_one_step(self, monkeypatch):
+        monkeypatch.setattr(channel, "mmse_eval", lambda prior, s: (0.0, "quadrature"))
+        s_limit, iterates = state_evolution(two_point(0.5), 0.8, 4.0)
         assert s_limit == pytest.approx(0.8 * 4.0, rel=1e-12)
         assert len(iterates) == 3   # start, jump to the fixed point, confirm
 

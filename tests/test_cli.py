@@ -255,6 +255,68 @@ class TestConfigFile:
         assert float(body[-1][1]) < math.log(3.0) + 1e-9
 
 
+# field -> (typed text, parsed value, config-file value)
+FIELD_VALUES = {
+    "out": ("o", "o", "cfg"), "seed": ("7", 7, 3), "jobs": ("2", 2, 3),
+    "epsilon": ("0.1", 0.1, 0.2), "delta": ("0.8", 0.8, 0.7), "snr": ("5", 5.0, 4.0),
+    "p": ("100", 100, 200), "sigma2": ("4", 4.0, 2.0),
+    "epsilons": ("0.1,0.01", [0.1, 0.01], [0.2]), "snrs": ("5", [5.0], [4.0]),
+    "rs": ("0.5,2", [0.5, 2.0], [1.5]), "kinds": ("amp", ["amp"], ["mmse"]),
+    "n_seeds": ("3", 3, 2), "t_max": ("12", 12, 20),
+    "s_min": ("0.01", 0.01, 0.02), "s_max": ("9", 9.0, 8.0), "s_points": ("7", 7, 5),
+    "t_min": ("0.1", 0.1, 0.05), "t_max_grid": ("2.5", 2.5, 4.0), "t_points": ("9", 9, 11),
+}
+COMMON_FLAGS = {"--out": "out", "--seed": "seed", "--jobs": "jobs"}
+SUBCOMMAND_FLAGS = {
+    "channel": {"--epsilon": "epsilon", "--s-min": "s_min", "--s-max": "s_max",
+                "--points": "s_points"},
+    "potential": {"--epsilon": "epsilon", "--delta": "delta", "--snr": "snr",
+                  "--points": "s_points"},
+    "thresholds": {"--epsilon": "epsilon", "--snr": "snr", "--p": "p", "--sigma2": "sigma2"},
+    "phase": {"--epsilons": "epsilons", "--snrs": "snrs", "--rs": "rs", "--kinds": "kinds"},
+    "amp": {"--p": "p", "--delta": "delta", "--snr": "snr", "--epsilon": "epsilon",
+            "--seeds": "n_seeds", "--t-max": "t_max"},
+    "figure1": {"--epsilons": "epsilons", "--t-min": "t_min", "--t-max": "t_max_grid",
+                "--points": "t_points"},
+    "figure2": {"--epsilon": "epsilon", "--snr": "snr", "--rs": "rs", "--t-min": "t_min",
+                "--t-max": "t_max_grid", "--points": "t_points"},
+    "selftest": {},
+}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("mode", list(SUBCOMMAND_FLAGS))
+    def test_flags_land_in_their_fields(self, mode, tmp_path, capsys):
+        flags = {**COMMON_FLAGS, **SUBCOMMAND_FLAGS[mode]}
+
+        def parse(argv):
+            return cli._spec_from_args(cli.build_parser().parse_args([mode] + argv))
+
+        typed = [arg for flag, name in flags.items() for arg in (flag, FIELD_VALUES[name][0])]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: FIELD_VALUES[name][2] for name in flags.values()}))
+        by_flag = parse(typed)
+        by_config = parse(["--config", str(cfg)])
+        both = parse(["--config", str(cfg)] + typed)
+        for name in flags.values():
+            _, value, config_value = FIELD_VALUES[name]
+            assert getattr(by_flag, name) == value
+            assert getattr(by_config, name) == config_value   # absent flags keep config
+            assert getattr(both, name) == value               # typed flags beat config
+        # Untyped flags leave every field at its SweepSpec default, except that
+        # figure2 widens t_max_grid when neither a flag nor the config sets it.
+        bare, default = parse([]), SweepSpec(mode=mode)
+        default.t_max_grid = 6.0 if mode == "figure2" else default.t_max_grid
+        assert bare == default
+
+        with pytest.raises(SystemExit) as exc:
+            main([mode, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        for flag, name in flags.items():
+            assert f"{flag} {name.upper()}" in help_text
+
+
 class TestRuntimeErrors:
     def test_bracket_error_is_one_line(self, tmp_path, capsys):
         # delta*snr so small that 1 - M(s) rounds to 0 at the lower bracket end.
