@@ -90,8 +90,8 @@ def _binary_posterior(prior: DiscretePrior, s_arr, y):
     """Stable posterior weight of the upper atom for a two-atom prior.
 
     The log odds are affine in the observation, so the whole posterior reduces
-    to one exponential per node.  Returns ``(p_upper, e, abs_logodds)`` where
-    ``e = exp(-|log odds|)`` is reused by the entropy evaluation.
+    to one exponential per node.  Returns the log odds d, ``|d|``, ``e = exp(-|d|)``
+    and the weight ``e / (1 + e)`` of the less likely atom.
     """
     a1, a2 = prior.atoms
     lw = prior.log_weight_array
@@ -100,9 +100,7 @@ def _binary_posterior(prior: DiscretePrior, s_arr, y):
         - s_arr[:, None] * (a2 * a2 - a1 * a1) / 2.0
     ad = np.abs(d)
     e = np.exp(-ad)
-    p_small = e / (1.0 + e)
-    p_upper = np.where(d >= 0.0, 1.0 - p_small, p_small)
-    return p_upper, e, ad, p_small
+    return d, ad, e, e / (1.0 + e)
 
 
 def _mmse_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
@@ -117,7 +115,8 @@ def _mmse_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
         a1, a2 = prior.atoms
         for j in range(2):
             y = sq * a[j] + z                                    # (S, K)
-            p_upper, _, _, _ = _binary_posterior(prior, s_arr, y)
+            d, _, _, p_small = _binary_posterior(prior, s_arr, y)
+            p_upper = np.where(d >= 0.0, 1.0 - p_small, p_small)
             m = a1 + (a2 - a1) * p_upper
             out += w[j] * ((a[j] - m) ** 2 @ wq)
         return out
@@ -149,7 +148,7 @@ def _mi_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
         # Binary posterior entropy: log1p(e) + p_small * |log odds|.
         for j in range(2):
             y = sq * a[j] + z
-            _, e, ad, p_small = _binary_posterior(prior, s_arr, y)
+            _, ad, e, p_small = _binary_posterior(prior, s_arr, y)
             ent = np.log1p(e) + p_small * ad
             post_ent += w[j] * (ent @ wq)
         return np.maximum(entropy(prior) - post_ent, 0.0)
@@ -197,39 +196,46 @@ def _adaptive_chunked(nodes_fn, prior, s_values, tol, nodes=None):
     return out, pos
 
 
-def mmse(prior: DiscretePrior, s: float, *, tol: float = QUAD_TOL) -> float:
+def _mi_tol(prior: DiscretePrior) -> float:
+    # Information values live on the entropy scale, so the absolute quadrature
+    # tolerance must shrink with it or the grid scan sees spurious basins for
+    # extreme spike priors.  MMSE values stay O(1) and keep QUAD_TOL.
+    h = entropy(prior)
+    return min(QUAD_TOL, max(1e-13, 1e-4 * h))
+
+
+def mmse(prior: DiscretePrior, s: float) -> float:
     """MMSE of estimating beta0 from sqrt(s)*beta0 + N, in [0, 1].
 
     Raises :class:`QuadratureError` if the adaptive node ladder cannot reach
-    ``tol`` agreement between successive refinements.
+    ``QUAD_TOL`` agreement between successive refinements.
     """
-    return float(mmse_curve(prior, [s], tol=tol)[0])
+    return float(mmse_curve(prior, [s])[0])
 
 
-def mmse_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL,
-               nodes: int | None = None) -> np.ndarray:
+def mmse_curve(prior: DiscretePrior, s_values, *, nodes: int | None = None) -> np.ndarray:
     """Vectorized :func:`mmse` over a grid of s values.
 
     ``nodes`` pins a fixed quadrature order and skips the adaptive ladder;
     useful for very dense sweeps where per-chunk laddering dominates.
     """
-    out, pos = _adaptive_chunked(_mmse_nodes, prior, s_values, tol, nodes)
+    out, pos = _adaptive_chunked(_mmse_nodes, prior, s_values, QUAD_TOL, nodes)
     out[~pos] = float(prior.weight_array @ (prior.atom_array ** 2))
     return out
 
 
-def mutual_info(prior: DiscretePrior, s: float, *, tol: float = QUAD_TOL) -> float:
+def mutual_info(prior: DiscretePrior, s: float) -> float:
     """Mutual information between beta0 and sqrt(s)*beta0 + N, in nats.
 
     The direct path is entropy quadrature over the mixture output; the
     integral of M is used only as an independent cross-check in the tests.
     """
-    return float(mutual_info_curve(prior, [s], tol=tol)[0])
+    return float(mutual_info_curve(prior, [s])[0])
 
 
 def mutual_info_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL,
                       nodes: int | None = None) -> np.ndarray:
-    """Vectorized :func:`mutual_info` over a grid of s values.
+    """I on a grid of s values, with the node ladder run to absolute ``tol``.
 
     ``nodes`` pins a fixed quadrature order, as in :func:`mmse_curve`.
     """
@@ -277,13 +283,13 @@ def approx_epsilon(prior: DiscretePrior):
     return None
 
 
-def mmse_eval(prior: DiscretePrior, s: float, *, tol: float = QUAD_TOL):
+def mmse_eval(prior: DiscretePrior, s: float):
     """M(s) together with the evaluation-mode tag ('quadrature' or 'approx')."""
-    m_vals, mode = mmse_eval_curve(prior, [s], tol=tol)
+    m_vals, mode = mmse_eval_curve(prior, [s])
     return float(m_vals[0]), mode
 
 
-def mutual_info_eval(prior: DiscretePrior, s: float, *, tol: float = QUAD_TOL):
+def mutual_info_eval(prior: DiscretePrior, s: float):
     """I(s) together with the evaluation-mode tag.
 
     On the surrogate path the scalar value is one adaptive integral of the
@@ -292,22 +298,24 @@ def mutual_info_eval(prior: DiscretePrior, s: float, *, tol: float = QUAD_TOL):
     eps = approx_epsilon(prior)
     if eps is not None:
         return mutual_info_q_approx(eps, s), MODE_APPROX
-    return mutual_info(prior, s, tol=tol), MODE_QUADRATURE
+    return float(mutual_info_curve(prior, [s], tol=_mi_tol(prior))[0]), MODE_QUADRATURE
 
 
-def mmse_eval_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL):
+def mmse_eval_curve(prior: DiscretePrior, s_values):
     """M on an s grid plus the mode tag.  This and :func:`mutual_info_eval_curve`
-    route a prior to quadrature or to the tail surrogate for the other layers."""
+    route a prior to quadrature or to the tail surrogate for the other layers,
+    and fix the tolerance: M to ``QUAD_TOL``, I to :func:`_mi_tol` of the prior."""
     eps = approx_epsilon(prior)
     s_arr = _snr_grid(s_values)
     if eps is not None:
         out = np.where(s_arr > 0.0, mmse_q_approx(eps, np.maximum(s_arr, 1e-300)), 1.0)
         return out, MODE_APPROX
-    return mmse_curve(prior, s_arr, tol=tol), MODE_QUADRATURE
+    return mmse_curve(prior, s_arr), MODE_QUADRATURE
 
 
-def mutual_info_eval_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL):
-    """I on a grid of s values, plus the mode tag (see :func:`mmse_eval_curve`)."""
+def mutual_info_eval_curve(prior: DiscretePrior, s_values, *, tol: float | None = None):
+    """I on an s grid plus the mode tag (see :func:`mmse_eval_curve`); ``tol``
+    overrides the quadrature tolerance, which is otherwise ``_mi_tol(prior)``."""
     eps = approx_epsilon(prior)
     s_arr = _snr_grid(s_values)
     if eps is not None:
@@ -327,6 +335,7 @@ def mutual_info_eval_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_
         m[1:] = mmse_q_approx(eps, base[1:])
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (m[1:] + m[:-1]) * np.diff(base))])
         return 0.5 * np.interp(s_arr, base, cum), MODE_APPROX
+    tol = _mi_tol(prior) if tol is None else tol
     return mutual_info_curve(prior, s_arr, tol=tol), MODE_QUADRATURE
 
 
@@ -341,13 +350,14 @@ class ChannelCurve:
     mode: str
 
 
-def channel_curve(prior: DiscretePrior, s_grid, *, tol: float = QUAD_TOL) -> ChannelCurve:
+def channel_curve(prior: DiscretePrior, s_grid) -> ChannelCurve:
     """Tabulate I and M on an increasing grid of s values."""
     s_arr = np.asarray(s_grid, dtype=float)
     if s_arr.size == 0:
         raise ValueError("s grid must be non-empty")
     if s_arr.size > 1 and not np.all(np.diff(s_arr) > 0):
         raise ValueError("s grid must be strictly increasing")
-    i_vals, mode = mutual_info_eval_curve(prior, s_arr, tol=tol)
-    m_vals, _ = mmse_eval_curve(prior, s_arr, tol=tol)
+    # QUAD_TOL, not _mi_tol: the committed channel/figure1 references use it.
+    i_vals, mode = mutual_info_eval_curve(prior, s_arr, tol=QUAD_TOL)
+    m_vals, _ = mmse_eval_curve(prior, s_arr)
     return ChannelCurve(prior, s_arr, i_vals, m_vals, mode)

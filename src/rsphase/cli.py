@@ -98,8 +98,12 @@ class SweepSpec:
             for k in self.kinds:
                 if k not in ("mmse", "amp"):
                     raise SpecError(f"kinds: {k!r} is not 'mmse' or 'amp'")
-        if self.mode == "amp" and self.n_seeds < 1:
-            raise SpecError("n_seeds: amp mode requires at least one seed")
+        if self.mode == "amp":
+            for name in ("p", "delta", "snr", "n_seeds"):
+                value = getattr(self, name)
+                if not 0 < value < math.inf:
+                    raise SpecError(f"{name}: amp mode requires a positive finite value, "
+                                    f"got {value!r}")
         if self.s_points < 2 or self.t_points < 2:
             raise SpecError("grid: s_points and t_points must be >= 2")
         if not (0 < self.s_min < self.s_max):
@@ -248,11 +252,8 @@ def _run_figure1(spec: SweepSpec) -> list:
     rows = []
     for eps in spec.epsilons:
         h = two_point_entropy(eps)
-        prior = two_point(eps)
-        s_vals = 2.0 * h * t_grid
-        i_vals, _ = channel.mutual_info_eval_curve(prior, s_vals)
-        m_vals, _ = channel.mmse_eval_curve(prior, s_vals)
-        for t, i_val, m_val in zip(t_grid, i_vals, m_vals):
+        curve = channel.channel_curve(two_point(eps), 2.0 * h * t_grid)
+        for t, i_val, m_val in zip(t_grid, curve.i_values, curve.m_values):
             rows.append([_fmt(eps), _fmt(t), _fmt(i_val / h), _fmt(m_val)])
     return [_write_csv(spec, "figure1.csv", ["epsilon", "t", "i_norm", "m_value"], rows)]
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from . import channel
-from .prior import DiscretePrior, entropy, two_point, two_point_entropy
+from .prior import DiscretePrior, two_point, two_point_entropy
 
 GRID_POINTS = 2000
 SCAN_POINTS = 4000
@@ -45,14 +45,6 @@ def stationary_bracket(delta: float, snr: float):
     return delta * snr / (1.0 + snr), delta * snr
 
 
-def _mi_tol(prior: DiscretePrior) -> float:
-    # Information values live on the entropy scale, so the absolute quadrature
-    # tolerance must shrink with it or the grid scan sees spurious basins for
-    # extreme spike priors.  MMSE values stay O(1) and keep the default.
-    h = entropy(prior)
-    return min(channel.QUAD_TOL, max(1e-13, 1e-4 * h))
-
-
 def _check_params(delta, snr):
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
@@ -65,7 +57,7 @@ def potential(delta: float, snr: float, prior: DiscretePrior, s: float) -> float
     _check_params(delta, snr)
     if not s > 0.0:
         raise ValueError(f"s must be positive, got {s!r}")
-    i_val, _ = channel.mutual_info_eval(prior, s, tol=_mi_tol(prior))
+    i_val, _ = channel.mutual_info_eval(prior, s)
     return i_val + 0.5 * delta * _logdiv(s / (delta * snr))
 
 
@@ -145,29 +137,26 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
     what exposes the coexistence regime near a first-order transition.
     """
     _check_params(delta, snr)
-    tol = _mi_tol(prior)
     lo, hi = stationary_bracket(delta, snr)
     s_grid = np.geomspace(lo * (1.0 - BRACKET_PAD), hi * (1.0 + BRACKET_PAD), GRID_POINTS)
-    i_vals, _ = channel.mutual_info_eval_curve(prior, s_grid, tol=tol)
+    i_vals, _ = channel.mutual_info_eval_curve(prior, s_grid)
     f_vals = i_vals + 0.5 * delta * _logdiv(s_grid / (delta * snr))
 
-    candidates = []
-    for i in range(1, len(s_grid) - 1):
-        if f_vals[i] <= f_vals[i - 1] and f_vals[i] <= f_vals[i + 1]:
-            candidates.append(i)
-    if f_vals[0] < f_vals[1]:
-        candidates.append(0)
-    if f_vals[-1] < f_vals[-2]:
-        candidates.append(len(s_grid) - 1)
-    if not candidates:
+    # Local minima of the scan: ties count inside, the endpoints need a strict drop.
+    is_min = np.empty(f_vals.size, dtype=bool)
+    is_min[1:-1] = (f_vals[1:-1] <= f_vals[:-2]) & (f_vals[1:-1] <= f_vals[2:])
+    is_min[0] = f_vals[0] < f_vals[1]
+    is_min[-1] = f_vals[-1] < f_vals[-2]
+    candidates = np.flatnonzero(is_min)
+    if candidates.size == 0:
         raise BracketError("no local minimum on the scan grid; grid too coarse")
 
     def objective(s):
-        i_val, _ = channel.mutual_info_eval(prior, s, tol=tol)
+        i_val, _ = channel.mutual_info_eval(prior, s)
         return i_val + 0.5 * delta * _logdiv(s / (delta * snr))
 
     refined = []
-    for i in sorted(candidates):
+    for i in candidates:
         a = s_grid[max(i - 1, 0)]
         b = s_grid[min(i + 1, len(s_grid) - 1)]
         res = minimize_scalar(objective, bounds=(a, b), method="bounded",
@@ -218,8 +207,7 @@ def normalized_curve(epsilon: float, r: float, snr: float, t_values) -> np.ndarr
     _check_params(r, snr)
     h = two_point_entropy(epsilon)
     c = math.log1p(snr)
-    prior = two_point(epsilon)
-    i_vals, _ = channel.mutual_info_eval_curve(prior, 2.0 * h * t_arr, tol=_mi_tol(prior))
+    i_vals, _ = channel.mutual_info_eval_curve(two_point(epsilon), 2.0 * h * t_arr)
     return i_vals / h + (r / c) * _logdiv(t_arr * c / (r * snr))
 
 

@@ -46,7 +46,7 @@ def r_amp(snr: float) -> float:
 def l_constant(prior: DiscretePrior) -> float:
     """Information deficit H - I(2H); bounds how far I(s) sits below min(s/2, H)."""
     h = entropy(prior)
-    i2h, _ = channel.mutual_info_eval(prior, 2.0 * h, tol=potential._mi_tol(prior))
+    i2h, _ = channel.mutual_info_eval(prior, 2.0 * h)
     return max(h - i2h, 0.0)
 
 
@@ -132,13 +132,13 @@ def report(epsilon: float, snr: float | None = None, *, p: float | None = None,
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     sparse = None
-    if snr is None:
-        if p is None or sigma2 is None:
-            raise ValueError("pass either snr or both p and sigma2")
-        snr = p * epsilon * (1.0 - epsilon) / sigma2
+    if p is not None and sigma2 is not None:
+        # Validates sigma2 > 0 and 0 < k < p before snr is derived from them.
         sparse = sparse_thresholds(epsilon * p, p, sigma2)
-    elif p is not None and sigma2 is not None:
-        sparse = sparse_thresholds(epsilon * p, p, sigma2)
+        if snr is None:
+            snr = p * epsilon * (1.0 - epsilon) / sigma2
+    elif snr is None:
+        raise ValueError("pass either snr or both p and sigma2")
     h = two_point_entropy(epsilon)
     prior = two_point(epsilon)
     return ThresholdReport(

@@ -80,9 +80,10 @@ class TestMmse:
         with pytest.raises(ValueError):
             mmse(two_point(0.1), -1.0)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(channel, "QUAD_TOL", 1e-30)
         with pytest.raises(QuadratureError):
-            mmse(two_point(0.1), 1.0, tol=1e-30)
+            mmse(two_point(0.1), 1.0)
 
     def test_monotone_and_bounded(self):
         grid = np.geomspace(1e-3, 40, 60)
@@ -217,6 +218,20 @@ class TestEvalModes:
         assert curve.mode == channel.MODE_QUADRATURE
         assert np.all(np.diff(curve.i_values) >= -1e-12)
         assert np.all(np.diff(curve.m_values) <= 1e-12)
+
+    def test_tolerance_policy(self):
+        # H(1e-8) ~ 1.9e-7 puts I's tolerance at 1.9e-11, below QUAD_TOL.
+        prior = two_point(1e-8)
+        mi_tol = channel._mi_tol(prior)
+        assert mi_tol < channel.QUAD_TOL
+        s = np.geomspace(1e-9, 1e-5, 40)
+        for v in s:
+            assert mutual_info_eval(prior, v)[0] == mutual_info_curve(prior, [v], tol=mi_tol)[0]
+            assert mmse_eval(prior, v)[0] == mmse_curve(prior, [v])[0]
+        np.testing.assert_array_equal(channel.mutual_info_eval_curve(prior, s)[0],
+                                      mutual_info_curve(prior, s, tol=mi_tol))
+        np.testing.assert_array_equal(channel_curve(prior, s).i_values,
+                                      mutual_info_curve(prior, s))
 
     def test_curve_rejects_bad_grid(self):
         with pytest.raises(ValueError):

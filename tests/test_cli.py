@@ -327,6 +327,23 @@ class TestRuntimeErrors:
         assert err.startswith("error: BracketError: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["amp", "--p", "0", "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
+         "--seeds", "1", "--t-max", "5"],
+        ["amp", "--p", "100", "--delta", "0.5", "--snr", "0", "--epsilon", "0.1",
+         "--seeds", "1", "--t-max", "5"],
+        ["amp", "--p", "100", "--delta", "-1", "--snr", "5", "--epsilon", "0.1",
+         "--seeds", "1", "--t-max", "5"],
+        ["thresholds", "--epsilon", "0.1", "--p", "100", "--sigma2", "0"],
+    ], ids=["amp-p0", "amp-snr0", "amp-negative-delta", "thresholds-sigma2-0"])
+    def test_bad_input_is_one_line_and_writes_nothing(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc != 0
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestSelftest:
     def test_passes(self, capsys):
