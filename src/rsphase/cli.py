@@ -104,6 +104,9 @@ class SweepSpec:
                 if not 0 < value < math.inf:
                     raise SpecError(f"{name}: amp mode requires a positive finite value, "
                                     f"got {value!r}")
+            if round(self.delta * self.p) < 1:
+                raise SpecError("delta: amp mode needs delta*p > 0.5 (at least one "
+                                f"measurement), got delta*p = {self.delta * self.p:g}")
         if self.s_points < 2 or self.t_points < 2:
             raise SpecError("grid: s_points and t_points must be >= 2")
         if not (0 < self.s_min < self.s_max):
@@ -155,11 +158,10 @@ def _run_potential(spec: SweepSpec) -> list:
     lo, hi = land.bracket
     s_grid = np.geomspace(lo * (1 - potential.BRACKET_PAD),
                           hi * (1 + potential.BRACKET_PAD), spec.s_points)
-    rows = []
-    for s in s_grid:
-        f_val = potential.potential(spec.delta, spec.snr, prior, s)
-        fp_val = potential.potential_deriv(spec.delta, spec.snr, prior, s)
-        rows.append([_fmt(s), _fmt(f_val), _fmt(fp_val)])
+    fp_vals = potential.potential_deriv(spec.delta, spec.snr, prior, s_grid)
+    # F stays scalar: on the tail-surrogate path a grid of I is a coarser trapezoid.
+    rows = [[_fmt(s), _fmt(potential.potential(spec.delta, spec.snr, prior, s)), _fmt(fp)]
+            for s, fp in zip(s_grid, fp_vals)]
     summary = ("# summary: f_star=" + _fmt(land.f_star)
                + " s_lower_star=" + _fmt(land.s_lower_star)
                + " s_upper_star=" + _fmt(land.s_upper_star)
@@ -211,7 +213,7 @@ def _run_phase(spec: SweepSpec) -> list:
 def _run_amp(spec: SweepSpec) -> list:
     prior = spec.resolve_prior()
     p = spec.p
-    n = max(1, round(spec.delta * p))
+    n = round(spec.delta * p)
     sigma2 = p / spec.snr
     delta_real = n / p
     s_amp = potential.smallest_stationary(delta_real, spec.snr, prior)

@@ -10,10 +10,10 @@ computational-statistical gap this module quantifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import channel, potential
-from .prior import DiscretePrior, entropy, two_point, two_point_entropy
+from .prior import DiscretePrior, entropy, standardize_bernoulli, two_point, two_point_entropy
 
 KIND_MMSE = "mmse"
 KIND_AMP = "amp"
@@ -38,9 +38,8 @@ def delta_amp(h: float, snr: float) -> float:
     return 2.0 * h * (1.0 + snr) / snr
 
 
-def r_amp(snr: float) -> float:
-    """delta_amp / delta_mmse = (1 + 1/snr) ln(1+snr); strictly above 1."""
-    return potential.amp_threshold_ratio(snr)
+# delta_amp / delta_mmse = (1 + 1/snr) ln(1+snr); strictly above 1.
+r_amp = potential.amp_threshold_ratio
 
 
 def l_constant(prior: DiscretePrior) -> float:
@@ -81,16 +80,13 @@ def transition_check(epsilon: float, snr: float, r: float, kind: str) -> float:
         raise ValueError(f"r must lie in (0,1) or (1,inf), got {r!r}")
     if kind not in (KIND_MMSE, KIND_AMP):
         raise ValueError(f"kind must be 'mmse' or 'amp', got {kind!r}")
-    h = two_point_entropy(epsilon)
-    # Ratio of delta to the information threshold; the algorithmic scaling is
-    # the same landscape with r multiplied by the threshold ratio.
-    r_eff = r if kind == KIND_MMSE else r * r_amp(snr)
-    prior = two_point(epsilon)
+    # The algorithmic scaling is the same landscape with r multiplied by the
+    # threshold ratio; both landmarks come back in t = s/2H units.
     if kind == KIND_AMP:
-        s_hat = potential.smallest_stationary(r_eff * delta_mmse(h, snr), snr, prior)
+        t_hat = potential.normalized_smallest_stationary(epsilon, r * r_amp(snr), snr)
     else:
-        s_hat = 2.0 * h * potential.normalized_argmin(epsilon, r_eff, snr)
-    value, _ = channel.mmse_eval(prior, s_hat)
+        t_hat = potential.normalized_argmin(epsilon, r, snr)
+    value, _ = channel.mmse_eval(two_point(epsilon), 2.0 * two_point_entropy(epsilon) * t_hat)
     return value
 
 
@@ -104,21 +100,18 @@ class ThresholdReport:
     delta_amp: float
     r_amp: float
     l_constant: float
-    sparse_simplifications: tuple | None = None
+    delta_mmse_sparse: float | None = None    # set only for a (p, sigma2) report
+    delta_amp_sparse: float | None = None
+
+    @property
+    def sparse_simplifications(self) -> tuple | None:
+        """The pair of :func:`sparse_thresholds`, or None without p and sigma2."""
+        if self.delta_mmse_sparse is None:
+            return None
+        return self.delta_mmse_sparse, self.delta_amp_sparse
 
     def as_dict(self) -> dict:
-        d = {
-            "h": self.h,
-            "snr": self.snr,
-            "delta_mmse": self.delta_mmse,
-            "delta_amp": self.delta_amp,
-            "r_amp": self.r_amp,
-            "l_constant": self.l_constant,
-        }
-        if self.sparse_simplifications is not None:
-            d["delta_mmse_sparse"] = self.sparse_simplifications[0]
-            d["delta_amp_sparse"] = self.sparse_simplifications[1]
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def report(epsilon: float, snr: float | None = None, *, p: float | None = None,
@@ -126,27 +119,19 @@ def report(epsilon: float, snr: float | None = None, *, p: float | None = None,
     """Build a :class:`ThresholdReport` for a two-point prior.
 
     Either pass ``snr`` directly, or pass ``p`` and ``sigma2`` and the snr of
-    the standardized Bernoulli reduction (p*eps*(1-eps)/sigma2) is used; in
-    the latter case the sparse simplifications are filled in as well.
+    :func:`~rsphase.prior.standardize_bernoulli` is used; in the latter case
+    the sparse simplifications are filled in as well.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    sparse = None
+    sparse = (None, None)
     if p is not None and sigma2 is not None:
         # Validates sigma2 > 0 and 0 < k < p before snr is derived from them.
         sparse = sparse_thresholds(epsilon * p, p, sigma2)
         if snr is None:
-            snr = p * epsilon * (1.0 - epsilon) / sigma2
+            _, snr = standardize_bernoulli(epsilon, p, sigma2)
     elif snr is None:
         raise ValueError("pass either snr or both p and sigma2")
     h = two_point_entropy(epsilon)
-    prior = two_point(epsilon)
-    return ThresholdReport(
-        h=h,
-        snr=snr,
-        delta_mmse=delta_mmse(h, snr),
-        delta_amp=delta_amp(h, snr),
-        r_amp=r_amp(snr),
-        l_constant=l_constant(prior),
-        sparse_simplifications=sparse,
-    )
+    return ThresholdReport(h, snr, delta_mmse(h, snr), delta_amp(h, snr), r_amp(snr),
+                           l_constant(two_point(epsilon)), *sparse)

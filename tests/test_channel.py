@@ -198,6 +198,23 @@ class TestQApprox:
         integral, _ = quad(lambda u: mmse_q_approx(eps, u), 0.0, s, limit=200)
         assert direct == pytest.approx(0.5 * integral, rel=1e-8)
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-13, 1e-16, 1e-50])
+    def test_mutual_info_surrogate_far_past_transition(self, eps):
+        # Oracle: quad on pieces cut at s0 * 2^k, so no piece holds more than a
+        # slice of the transition.  I must match it and never decrease in s.
+        s0 = 2 * eps * math.log(1 / eps)
+        h = two_point_entropy(eps)
+        prev = 0.0
+        for s in s0 * np.geomspace(0.5, 1e12, 40):
+            cuts = [0.0] + [s0 * 2.0 ** k for k in range(-12, 50) if s0 * 2.0 ** k < s] + [s]
+            ref = 0.5 * sum(quad(lambda u: mmse_q_approx(eps, u), a, b, epsabs=0.0,
+                                 epsrel=1e-13, limit=200)[0]
+                            for a, b in zip(cuts, cuts[1:]))
+            val = mutual_info_q_approx(eps, s)
+            assert val == pytest.approx(ref, rel=1e-8)
+            assert val >= prev - 1e-8 * h
+            prev = val
+
 
 class TestEvalModes:
     def test_quadrature_mode_for_normal_epsilon(self):

@@ -344,6 +344,16 @@ class TestRuntimeErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_amp_delta_below_one_measurement_rejected(self, tmp_path, capsys):
+        # round(0.001 * 100) = 0 measurements; the run must not quietly use n = 1.
+        out = tmp_path / "out"
+        rc = main(["amp", "--p", "100", "--delta", "0.001", "--snr", "5", "--epsilon",
+                   "0.1", "--seeds", "1", "--t-max", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: delta:") and err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestSelftest:
     def test_passes(self, capsys):

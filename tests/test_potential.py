@@ -8,9 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from rsphase.channel import mmse, mmse_curve, mutual_info, mutual_info_curve
+from rsphase import channel
+from rsphase.channel import QUAD_TOL, mmse, mmse_curve, mutual_info, mutual_info_curve
 from rsphase.potential import (
+    SCAN_POINTS,
     BracketError,
     amp_threshold_ratio,
     limit_minimizers,
@@ -25,10 +28,11 @@ from rsphase.potential import (
     smallest_stationary,
     stationary_bracket,
 )
-from rsphase.prior import entropy, two_point, two_point_entropy
+from rsphase.prior import DiscretePrior, entropy, two_point, two_point_entropy
 from rsphase.thresholds import delta_mmse, l_constant
 
 RADEMACHER = two_point(0.5)
+TERNARY = DiscretePrior((-math.sqrt(10.0), 0.0, math.sqrt(10.0)), (0.05, 0.9, 0.05))
 
 
 def brute_force_argmin(prior, delta, snr, points=10**6, nodes=121):
@@ -48,6 +52,16 @@ class TestPotentialValue:
 
     def test_blows_up_near_zero(self):
         assert potential(1.0, 1.0, RADEMACHER, 1e-12) > 10.0
+
+    def test_deriv_grid_call_matches_scalar_calls(self):
+        prior = two_point(1e-4)
+        delta = 1.1 * delta_mmse(two_point_entropy(1e-4), 5.0)
+        grid = np.geomspace(0.3 * delta, 5.0 * delta, 50)
+        on_grid = potential_deriv(delta, 5.0, prior, grid)
+        one_by_one = [potential_deriv(delta, 5.0, prior, s) for s in grid]
+        assert isinstance(on_grid, np.ndarray) and on_grid.shape == grid.shape
+        assert all(type(v) is float for v in one_by_one)
+        assert np.max(np.abs(on_grid - one_by_one)) <= QUAD_TOL
 
     def test_domain_error_nonpositive(self):
         with pytest.raises(ValueError):
@@ -147,6 +161,27 @@ class TestSmallestStationary:
         k = int(np.flatnonzero(deriv >= 0)[0])
         s_amp = smallest_stationary(1.0, 1.0, RADEMACHER)
         assert abs(grid[k] - s_amp) <= 1e-4 * s_amp
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-4, 1e-8, None],
+                             ids=["eps0.1", "eps1e-4", "eps1e-8", "ternary"])
+    def test_early_stop_matches_full_scan(self, eps):
+        # The scan stops at the first chunk with a crossing; a full scan's first
+        # crossing, refined the same way, must give the same root bit for bit.
+        snr = 5.0
+        if eps is None:
+            prior, delta = TERNARY, 0.8
+        else:
+            prior, delta = two_point(eps), 1.1 * delta_mmse(two_point_entropy(eps), snr)
+        lo, hi = stationary_bracket(delta, snr)
+        grid = np.geomspace(lo, hi, SCAN_POINTS)
+        m_vals, _ = channel.mmse_eval_curve(prior, grid)
+        k = int(np.flatnonzero(grid * (m_vals + 1.0 / snr) - delta >= 0.0)[0])
+
+        def residual(s):
+            return s * (channel.mmse_eval(prior, s)[0] + 1.0 / snr) - delta
+
+        root = brentq(residual, grid[k - 1], grid[k], xtol=lo * 1e-14, rtol=1e-12)
+        assert smallest_stationary(delta, snr, prior) == root
 
     def test_fixed_point_residual(self):
         for delta, snr, eps in ((1.0, 1.0, 0.5), (0.5, 8.0, 0.05)):
