@@ -3,15 +3,17 @@
 Computes the mutual information I(s) and the minimum mean-squared error M(s)
 of the scalar observation sqrt(s)*beta0 + N with N ~ N(0,1), together with
 the posterior-mean denoiser they are built from.  All information quantities
-are in nats.  Mixture likelihoods are evaluated in the log domain and the
-Gaussian integrals use adaptive Gauss-Hermite quadrature, because the atoms
-of extreme spike priors separate like 1/sqrt(eps) and naive exponentials
+are in nats.  Mixture likelihoods are evaluated in the log domain, because the
+atoms of extreme spike priors separate like 1/sqrt(eps) and naive exponentials
 overflow already around eps ~ 1e-4.
 
-Below spike probability ``APPROX_EPSILON`` double-precision quadrature can no
-longer resolve the mixture, and the two-point MMSE is evaluated through a
-Gaussian-tail surrogate instead; callers can audit which path produced a
-value via the ``*_eval`` functions that return a mode tag.
+M of a two-atom prior is exact to rounding: a closed-form step plus a remainder
+on a fixed Gauss-Legendre rule (:func:`_mmse_two_point`).  I, and M of priors
+with more atoms, use adaptive Gauss-Hermite quadrature.
+
+Below spike probability ``APPROX_EPSILON`` the two-point quantities are
+evaluated through a Gaussian-tail surrogate instead; callers can audit which
+path produced a value via the ``*_eval`` functions that return a mode tag.
 """
 
 from __future__ import annotations
@@ -22,21 +24,30 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfc, roots_hermite
+from scipy.special import erfc, log_ndtr, roots_hermite
 
 from .prior import DiscretePrior, entropy, two_point_epsilon
 
 QUAD_TOL = 1e-8
-# One doubling past 961: at spike weights near 1e-12..1e-8 the 481-vs-961
-# agreement plateaus around 5e-8 close to the MMSE transition even though the
-# 961-node value itself is already accurate to ~1e-10, so the final rung is
-# what lets the acceptance test see convergence.
+# The ladder serves I and many-atom M.  One doubling past 961: at spike weights
+# near 1e-12..1e-8 the rung-to-rung change of I plateaus close to the
+# transition while the 961-node value is already accurate, so the final rung
+# is what lets the ladder see convergence.
 NODE_LADDER = (61, 121, 241, 481, 961, 1921)
 APPROX_EPSILON = 1e-12
 MODE_QUADRATURE = "quadrature"
 MODE_APPROX = "approx"
 
 _CHUNK = 256   # keeps per-chunk temporaries cache-resident; larger chunks thrash
+
+# Two-point remainder rule: Gauss-Legendre panels in |u| on each side of u = 0.
+# The remainder's weight decays like exp(-|u|), so it is below 1e-20 past 48.
+_PANEL_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0)
+_PANEL_NODES = 12
+# Below this log-odds spread B the two-point M stays on fixed Gauss-Hermite,
+# where 241 nodes already agree with 1921 to ~1e-14.
+_TWO_POINT_MIN_B = 2.0
+_TWO_POINT_SMALL_B_NODES = 241
 
 
 class QuadratureError(RuntimeError):
@@ -123,6 +134,59 @@ def _mmse_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _remainder_rule():
+    """Nodes u and weights of the remainder integral in :func:`_mmse_two_point`.
+
+    The weights fold in rho(u) = sigma(u)^2 - [u > 0] and 1/sqrt(2 pi), so that
+    R(A, B) = sum_k w_k exp(-((u_k - A)/B)^2 / 2) / B.  For u = |u| > 0 that is
+    -sigma(-u)(2 - sigma(-u)); for u = -|u| it is sigma(-|u|)^2.
+    """
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    edges = np.asarray(_PANEL_EDGES)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    t = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
+    wt = (0.5 * (hi - lo) * w).ravel() / math.sqrt(2.0 * math.pi)
+    sig = np.exp(-t) / (1.0 + np.exp(-t))                  # sigma(-|u|)
+    return np.concatenate([t, -t]), np.concatenate([-wt * sig * (2.0 - sig), wt * sig * sig])
+
+
+def _mmse_two_point(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
+    """Exact M on an s grid for a two-atom prior; no node ladder.
+
+    Under atom j the log-odds of the upper atom are affine in the noise,
+    A_j + B*z, with D = a2 - a1, B = sqrt(s)*D and A_1,2 = log(w2/w1) -+ s*D^2/2,
+    so M = D^2 * [w1*E(A_1, B) + w2*E(-A_2, B)] with E(A, B) = E_z sigma(A + B z)^2.
+    E splits into the step Phi(A/B) and a remainder
+    R = (1/B) int phi((u - A)/B) rho(u) du whose weight rho decays like exp(-|u|);
+    R runs on the fixed panels of :func:`_remainder_rule`.  Each term is formed
+    as exp(log(w_j D^2) + ...), so spike weights far below 1e-16 keep their
+    digits.  Points with B < 2 use fixed Gauss-Hermite instead.
+    """
+    a1, a2 = prior.atoms
+    lw = prior.log_weight_array
+    dd = (a2 - a1) ** 2
+    b = np.sqrt(s_arr * dd)
+    out = np.empty_like(s_arr)
+    small = b < _TWO_POINT_MIN_B
+    if small.any():     # skip empty calls: the root finders make many size-1 calls
+        out[small] = _mmse_nodes(prior, s_arr[small], _TWO_POINT_SMALL_B_NODES)
+    big = ~small
+    if not big.any():
+        return out
+    b = b[big]
+    half = 0.5 * s_arr[big] * dd
+    u, wr = _remainder_rule()
+    log_dd = math.log(dd)
+    total = np.zeros_like(b)
+    for a, c in ((lw[1] - lw[0] - half, lw[0] + log_dd),     # E(A_1, B)
+                 (lw[0] - lw[1] - half, lw[1] + log_dd)):    # E(-A_2, B)
+        x = (u - a[:, None]) / b[:, None]                    # (S, K)
+        total += np.exp(c + log_ndtr(a / b)) + (np.exp(c - 0.5 * x * x) @ wr) / b
+    out[big] = total
+    return out
+
+
 def _mi_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
     """Fixed-node quadrature of H(prior) minus the mean posterior entropy.
 
@@ -174,18 +238,25 @@ def _snr_grid(s_values) -> np.ndarray:
     return s_arr
 
 
-def _adaptive_chunked(nodes_fn, prior, s_values, tol, nodes=None):
+def _chunked(fn, s_values):
+    """``fn`` on the positive entries of an s grid, ``_CHUNK`` at a time.
+
+    Returns the values (unset where s = 0) and the mask of positive entries.
+    """
     s_arr = _snr_grid(s_values)
     out = np.empty_like(s_arr)
     pos = s_arr > 0.0
     idx = np.flatnonzero(pos)
     for k in range(0, idx.size, _CHUNK):
         sel = idx[k:k + _CHUNK]
-        if nodes is not None:
-            out[sel] = nodes_fn(prior, s_arr[sel], nodes)
-        else:
-            out[sel] = _adaptive(nodes_fn, prior, s_arr[sel], tol)
+        out[sel] = fn(s_arr[sel])
     return out, pos
+
+
+def _adaptive_chunked(nodes_fn, prior, s_values, tol, nodes=None):
+    if nodes is not None:
+        return _chunked(lambda s: nodes_fn(prior, s, nodes), s_values)
+    return _chunked(lambda s: _adaptive(nodes_fn, prior, s, tol), s_values)
 
 
 def _mi_tol(prior: DiscretePrior) -> float:
@@ -199,8 +270,9 @@ def _mi_tol(prior: DiscretePrior) -> float:
 def mmse(prior: DiscretePrior, s: float) -> float:
     """MMSE of estimating beta0 from sqrt(s)*beta0 + N, in [0, 1].
 
-    Raises :class:`QuadratureError` if the adaptive node ladder cannot reach
-    ``QUAD_TOL`` agreement between successive refinements.
+    Exact for two-atom priors.  For more atoms, raises :class:`QuadratureError`
+    if the adaptive node ladder cannot reach ``QUAD_TOL`` agreement between
+    successive refinements.
     """
     return float(mmse_curve(prior, [s])[0])
 
@@ -208,10 +280,17 @@ def mmse(prior: DiscretePrior, s: float) -> float:
 def mmse_curve(prior: DiscretePrior, s_values, *, nodes: int | None = None) -> np.ndarray:
     """Vectorized :func:`mmse` over a grid of s values.
 
-    ``nodes`` pins a fixed quadrature order and skips the adaptive ladder;
-    useful for very dense sweeps where per-chunk laddering dominates.
+    Two-atom priors go through :func:`_mmse_two_point`, which is exact and
+    evaluates each point on its own.  Priors with more atoms climb the node
+    ladder per chunk of ``_CHUNK`` points to ``QUAD_TOL`` and raise
+    :class:`QuadratureError` if it does not converge.  ``nodes`` pins a fixed
+    Gauss-Hermite order for any prior, skipping both: it is the brute-force
+    reference the exact path is tested against.
     """
-    out, pos = _adaptive_chunked(_mmse_nodes, prior, s_values, QUAD_TOL, nodes)
+    if nodes is None and prior.atom_array.size == 2:
+        out, pos = _chunked(functools.partial(_mmse_two_point, prior), s_values)
+    else:
+        out, pos = _adaptive_chunked(_mmse_nodes, prior, s_values, QUAD_TOL, nodes)
     out[~pos] = float(prior.weight_array @ (prior.atom_array ** 2))
     return out
 
@@ -304,7 +383,8 @@ def mutual_info_eval(prior: DiscretePrior, s: float):
 def mmse_eval_curve(prior: DiscretePrior, s_values):
     """M on an s grid plus the mode tag.  This and :func:`mutual_info_eval_curve`
     route a prior to quadrature or to the tail surrogate for the other layers,
-    and fix the tolerance: M to ``QUAD_TOL``, I to :func:`_mi_tol` of the prior."""
+    and fix the accuracy: M as in :func:`mmse_curve`, I to :func:`_mi_tol` of
+    the prior."""
     eps = approx_epsilon(prior)
     s_arr = _snr_grid(s_values)
     if eps is not None:

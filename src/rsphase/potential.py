@@ -106,14 +106,23 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
     result the *first* crossing; the residual is continuous but not monotone.
     The scan stops at the first block of ``channel._CHUNK`` points with a
     crossing; blocks converge independently, so this matches a full scan bit
-    for bit.
+    for bit.  If M at the lower end rounds to its s = 0 value, the prior's
+    second moment, no crossing can be resolved and a :class:`BracketError`
+    names delta*snr as the cause.
     """
     _check_params(delta, snr)
     lo, hi = stationary_bracket(delta, snr)
     grid = np.geomspace(lo, hi, SCAN_POINTS)
+    # A few ulps of slack: the tail surrogate's M(0) is 1.0, not the rounded moment.
+    m_zero = float(prior.weight_array @ prior.atom_array ** 2)
     for start in range(0, SCAN_POINTS, channel._CHUNK):
         block = grid[start:start + channel._CHUNK]
         m_vals, _ = channel.mmse_eval_curve(prior, block)
+        if start == 0 and m_vals[0] >= m_zero * (1.0 - 1e-15):
+            raise BracketError(
+                f"delta*snr = {delta * snr:g} puts the lower end of the admissible "
+                f"interval at s = {lo:g}, where 1 - M(s) rounds to 0, so the "
+                "stationary point cannot be resolved in double precision")
         above = np.flatnonzero(block * (m_vals + 1.0 / snr) - delta >= 0.0)
         if above.size:
             break

@@ -26,6 +26,7 @@ from rsphase.channel import (
     mutual_info_eval,
     mutual_info_q_approx,
 )
+from rsphase.potential import normalized_smallest_stationary
 from rsphase.prior import DiscretePrior, entropy, two_point, two_point_entropy
 from rsphase.thresholds import l_constant
 
@@ -83,7 +84,7 @@ class TestMmse:
     def test_unreachable_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(channel, "QUAD_TOL", 1e-30)
         with pytest.raises(QuadratureError):
-            mmse(two_point(0.1), 1.0)
+            mmse(THREE_ATOM, 1.0)
 
     def test_monotone_and_bounded(self):
         grid = np.geomspace(1e-3, 40, 60)
@@ -92,6 +93,64 @@ class TestMmse:
             assert np.all(np.diff(m) <= 1e-12)
             assert np.all(m <= 1.0 / (1.0 + grid) + 1e-9)
             assert np.all(m >= -1e-12)
+
+
+NEGATIVE_SPIKE = DiscretePrior(atoms=(-math.sqrt(0.99 / 0.01), math.sqrt(0.01 / 0.99)),
+                               weights=(0.01, 0.99))
+
+
+def _closed_form_mmse(eps, s):
+    """quad of the expectation mc_mmse_two_point samples, split at its step."""
+    scale = eps * (1.0 - eps)
+    b = math.sqrt(s / scale)
+    c = math.log(eps) + s / (2.0 * scale)
+
+    def f(z):
+        return math.exp(-0.5 * z * z - np.logaddexp(math.log1p(-eps), c + b * z)) \
+            / math.sqrt(2.0 * math.pi)
+
+    z_step = -c / b
+    return sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+               for lo, hi in ((z_step - 12.0, z_step), (z_step, z_step + 12.0)))
+
+
+class TestTwoPointExact:
+    """Two-atom M is a closed-form step plus a fixed-rule remainder, no ladder."""
+
+    @pytest.mark.parametrize("prior", [two_point(e) for e in
+                                       (0.3, 0.1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11)]
+                             + [NEGATIVE_SPIKE],
+                             ids=["0.3", "0.1", "1e-2", "1e-4", "1e-6", "1e-8", "1e-11",
+                                  "negative-spike"])
+    def test_matches_1921_node_gauss_hermite(self, prior):
+        h = entropy(prior)
+        for s in (2 * h * np.geomspace(1e-3, 20, 401), np.geomspace(1e-6, 50, 401)):
+            np.testing.assert_allclose(mmse_curve(prior, s),
+                                       mmse_curve(prior, s, nodes=1921), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eps, r", [(1e-16, 1.1), (1e-22, 1.5), (1e-30, 1.5), (1e-50, 1.5)])
+    def test_monte_carlo_at_tiny_epsilon(self, eps, r):
+        s = 2 * two_point_entropy(eps) * normalized_smallest_stationary(eps, r, 5.0)
+        est, se = mc_mmse_two_point(eps, s, 10**7, seed=0)
+        assert abs(mmse_curve(two_point(eps), [s])[0] - est) <= 3 * se
+
+    def test_rare_event_value_matches_quad(self):
+        # At eps 1e-16, r 1.5 the stationary point lies past the step, where
+        # M ~ 5.5e-12 comes from noise draws too rare for Monte Carlo to see.
+        eps = 1e-16
+        s = 2 * two_point_entropy(eps) * normalized_smallest_stationary(eps, 1.5, 5.0)
+        value = mmse_curve(two_point(eps), [s])[0]
+        assert 1e-13 < value < 1e-10
+        assert value == pytest.approx(_closed_form_mmse(eps, s), rel=1e-9)
+
+    @pytest.mark.parametrize("prior", [two_point(0.1), two_point(1e-4), two_point(1e-8),
+                                       NEGATIVE_SPIKE],
+                             ids=["0.1", "1e-4", "1e-8", "negative-spike"])
+    def test_values_do_not_depend_on_chunk(self, prior):
+        s = 2 * entropy(prior) * np.geomspace(1e-3, 20, 257)
+        grid = mmse_curve(prior, s)
+        single = np.array([mmse(prior, v) for v in s])
+        np.testing.assert_allclose(grid, single, rtol=0, atol=1e-14)
 
 
 class TestMutualInfo:

@@ -327,6 +327,16 @@ class TestRuntimeErrors:
         assert err.startswith("error: BracketError: ")
         assert err.count("\n") == 1
 
+    def test_tiny_delta_snr_names_the_cause(self, tmp_path, capsys):
+        rc = main(["potential", "--epsilon", "0.1", "--delta", "1e-300",
+                   "--snr", "5", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "delta*snr = 5e-300" in err
+        assert "1 - M(s) rounds to 0" in err
+        assert "quadrature" not in err
+
     @pytest.mark.parametrize("argv", [
         ["amp", "--p", "0", "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
          "--seeds", "1", "--t-max", "5"],

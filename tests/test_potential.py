@@ -183,6 +183,13 @@ class TestSmallestStationary:
         root = brentq(residual, grid[k - 1], grid[k], xtol=lo * 1e-14, rtol=1e-12)
         assert smallest_stationary(delta, snr, prior) == root
 
+    @pytest.mark.parametrize("prior", [RADEMACHER, two_point(0.1), two_point(1e-16)],
+                             ids=["rademacher", "eps0.1", "eps1e-16"])
+    def test_unresolvable_delta_snr_is_named(self, prior):
+        # 1 - M(s) ~ s rounds to 0 at the lower end of the interval.
+        with pytest.raises(BracketError, match=r"delta\*snr = 5e-300 .* 1 - M\(s\) rounds to 0"):
+            smallest_stationary(1e-300, 5.0, prior)
+
     def test_fixed_point_residual(self):
         for delta, snr, eps in ((1.0, 1.0, 0.5), (0.5, 8.0, 0.05)):
             prior = two_point(eps)
