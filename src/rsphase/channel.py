@@ -7,9 +7,12 @@ are in nats.  Mixture likelihoods are evaluated in the log domain, because the
 atoms of extreme spike priors separate like 1/sqrt(eps) and naive exponentials
 overflow already around eps ~ 1e-4.
 
-M of a two-atom prior is exact to rounding: a closed-form step plus a remainder
-on a fixed Gauss-Legendre rule (:func:`_mmse_two_point`).  I, and M of priors
-with more atoms, use adaptive Gauss-Hermite quadrature.
+M of a two-atom prior is one expectation, D^2 * sum_j w_j E_z sigma(c_j + B z)^2
+over the other atom's posterior log-odds (:func:`_two_point_log_odds`).  Two
+quadratures evaluate it: the exact one, a closed-form step plus a remainder on a
+fixed Gauss-Legendre rule (:func:`_mmse_two_point`), and the fixed Gauss-Hermite
+oracle (``nodes=``).  I, and M of priors with more atoms, use adaptive
+Gauss-Hermite quadrature.
 
 Below spike probability ``APPROX_EPSILON`` the two-point quantities are
 evaluated through a Gaussian-tail surrogate instead; callers can audit which
@@ -38,7 +41,11 @@ APPROX_EPSILON = 1e-12
 MODE_QUADRATURE = "quadrature"
 MODE_APPROX = "approx"
 
-_CHUNK = 256   # keeps per-chunk temporaries cache-resident; larger chunks thrash
+# Curves are evaluated _CHUNK points at a time.  The chunk is the ladder's unit
+# of convergence, so I and many-atom M values, and the committed references,
+# depend on it; potential.smallest_stationary walks the same blocks so that it
+# matches a full scan bit for bit.
+_CHUNK = 256
 
 # Two-point remainder rule: Gauss-Legendre panels in |u| on each side of u = 0.
 # The remainder's weight decays like exp(-|u|), so it is below 1e-20 past 48.
@@ -89,48 +96,49 @@ def denoise(prior: DiscretePrior, r, tau2: float):
     return mean, var
 
 
-def _binary_posterior(prior: DiscretePrior, s_arr, y):
-    """Stable posterior weight of the upper atom for a two-atom prior.
+def _two_point_log_odds(prior: DiscretePrior, s_arr: np.ndarray):
+    """D = a2 - a1, B = sqrt(s)*D and the offsets c_j, shape (2, S), of a two-atom prior.
 
-    The log odds are affine in the observation, so the whole posterior reduces
-    to one exponential per node.  Returns the log odds d, ``|d|``, ``e = exp(-|d|)``
-    and the weight ``e / (1 + e)`` of the less likely atom.
+    Under atom j the posterior log-odds of the other atom are c_j + B*z up to
+    the sign of z ~ N(0,1), with c_j = log(w_other/w_j) - s*D^2/2, so
+    M = D^2 * sum_j w_j E_z sigma(c_j + B z)^2.
     """
     a1, a2 = prior.atoms
     lw = prior.log_weight_array
+    d = a2 - a1
+    return d, np.sqrt(s_arr) * d, (lw[::-1] - lw)[:, None] - 0.5 * s_arr * d * d
+
+
+def _log_posteriors(prior: DiscretePrior, s_arr: np.ndarray, z: np.ndarray):
+    """Per atom j: its weight and atom, and the max-shifted log posterior (S, K, A)
+    of the observation sqrt(s)*a_j + z."""
+    a = prior.atom_array
+    lw = prior.log_weight_array
     sq = np.sqrt(s_arr)[:, None]
-    d = (lw[1] - lw[0]) + sq * (a2 - a1) * y \
-        - s_arr[:, None] * (a2 * a2 - a1 * a1) / 2.0
-    ad = np.abs(d)
-    e = np.exp(-ad)
-    return d, ad, e, e / (1.0 + e)
+    for w_j, a_j in zip(prior.weight_array, a):
+        y = sq * a_j + z                                         # (S, K)
+        ll = lw - 0.5 * (y[:, :, None] - sq[:, None, :] * a) ** 2
+        ll -= ll.max(axis=-1, keepdims=True)
+        yield w_j, a_j, ll
 
 
 def _mmse_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
-    """Fixed-node quadrature of the posterior-mean squared error on an s grid."""
+    """Fixed-node Gauss-Hermite quadrature of the posterior-mean squared error."""
     z, wq = _gh(n)
-    a = prior.atom_array
-    lw = prior.log_weight_array
-    w = prior.weight_array
-    sq = np.sqrt(s_arr)[:, None]
     out = np.zeros_like(s_arr)
-    if a.size == 2:
-        a1, a2 = prior.atoms
-        for j in range(2):
-            y = sq * a[j] + z                                    # (S, K)
-            d, _, _, p_small = _binary_posterior(prior, s_arr, y)
-            p_upper = np.where(d >= 0.0, 1.0 - p_small, p_small)
-            m = a1 + (a2 - a1) * p_upper
-            out += w[j] * ((a[j] - m) ** 2 @ wq)
-        return out
-    for j in range(a.size):
-        y = sq * a[j] + z                                        # (S, K)
-        ll = lw - 0.5 * (y[:, :, None] - sq[:, None, :] * a) ** 2
-        ll -= ll.max(axis=-1, keepdims=True)
+    if prior.natoms == 2:
+        d, b, c = _two_point_log_odds(prior, s_arr)
+        for w_j, c_j in zip(prior.weight_array, c):
+            u = c_j[:, None] + b[:, None] * z                    # (S, K)
+            e = np.exp(-np.abs(u))
+            sig = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+            out += w_j * ((sig * sig) @ wq)
+        return d * d * out
+    a = prior.atom_array
+    for w_j, a_j, ll in _log_posteriors(prior, s_arr, z):
         p = np.exp(ll)
         p /= p.sum(axis=-1, keepdims=True)
-        m = p @ a
-        out += w[j] * ((a[j] - m) ** 2 @ wq)
+        out += w_j * ((a_j - p @ a) ** 2 @ wq)
     return out
 
 
@@ -154,19 +162,14 @@ def _remainder_rule():
 def _mmse_two_point(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
     """Exact M on an s grid for a two-atom prior; no node ladder.
 
-    Under atom j the log-odds of the upper atom are affine in the noise,
-    A_j + B*z, with D = a2 - a1, B = sqrt(s)*D and A_1,2 = log(w2/w1) -+ s*D^2/2,
-    so M = D^2 * [w1*E(A_1, B) + w2*E(-A_2, B)] with E(A, B) = E_z sigma(A + B z)^2.
-    E splits into the step Phi(A/B) and a remainder
-    R = (1/B) int phi((u - A)/B) rho(u) du whose weight rho decays like exp(-|u|);
-    R runs on the fixed panels of :func:`_remainder_rule`.  Each term is formed
-    as exp(log(w_j D^2) + ...), so spike weights far below 1e-16 keep their
-    digits.  Points with B < 2 use fixed Gauss-Hermite instead.
+    With D, B and c_j from :func:`_two_point_log_odds`, M = D^2 * sum_j w_j E(c_j, B)
+    where E(A, B) = E_z sigma(A + B z)^2.  E splits into the step Phi(A/B) and a
+    remainder R = (1/B) int phi((u - A)/B) rho(u) du whose weight rho decays like
+    exp(-|u|); R runs on the fixed panels of :func:`_remainder_rule`.  Each term
+    is formed as exp(log(w_j D^2) + ...), so spike weights far below 1e-16 keep
+    their digits.  Points with B < 2 use fixed Gauss-Hermite instead.
     """
-    a1, a2 = prior.atoms
-    lw = prior.log_weight_array
-    dd = (a2 - a1) ** 2
-    b = np.sqrt(s_arr * dd)
+    d, b, c = _two_point_log_odds(prior, s_arr)
     out = np.empty_like(s_arr)
     small = b < _TWO_POINT_MIN_B
     if small.any():     # skip empty calls: the root finders make many size-1 calls
@@ -175,14 +178,11 @@ def _mmse_two_point(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
     if not big.any():
         return out
     b = b[big]
-    half = 0.5 * s_arr[big] * dd
     u, wr = _remainder_rule()
-    log_dd = math.log(dd)
     total = np.zeros_like(b)
-    for a, c in ((lw[1] - lw[0] - half, lw[0] + log_dd),     # E(A_1, B)
-                 (lw[0] - lw[1] - half, lw[1] + log_dd)):    # E(-A_2, B)
-        x = (u - a[:, None]) / b[:, None]                    # (S, K)
-        total += np.exp(c + log_ndtr(a / b)) + (np.exp(c - 0.5 * x * x) @ wr) / b
+    for lw_j, c_j in zip(prior.log_weight_array + math.log(d * d), c[:, big]):
+        x = (u - c_j[:, None]) / b[:, None]                  # (S, K)
+        total += np.exp(lw_j + log_ndtr(c_j / b)) + (np.exp(lw_j - 0.5 * x * x) @ wr) / b
     out[big] = total
     return out
 
@@ -195,31 +195,34 @@ def _mi_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
     log per observation instead of one per mixture component.
     """
     z, wq = _gh(n)
-    a = prior.atom_array
-    lw = prior.log_weight_array
-    w = prior.weight_array
-    sq = np.sqrt(s_arr)[:, None]
     post_ent = np.zeros_like(s_arr)
-    if a.size == 2:
-        # Binary posterior entropy: log1p(e) + p_small * |log odds|.
-        for j in range(2):
-            y = sq * a[j] + z
-            _, ad, e, p_small = _binary_posterior(prior, s_arr, y)
-            ent = np.log1p(e) + p_small * ad
-            post_ent += w[j] * (ent @ wq)
+    if prior.natoms == 2:
+        # Binary posterior entropy log1p(e) + |d| e/(1 + e), from the upper
+        # atom's log-odds d, which are affine in the observation y.
+        a1, a2 = prior.atoms
+        lw = prior.log_weight_array
+        sq = np.sqrt(s_arr)[:, None]
+        for w_j, a_j in zip(prior.weight_array, prior.atoms):
+            y = sq * a_j + z
+            d = (lw[1] - lw[0]) + sq * (a2 - a1) * y \
+                - s_arr[:, None] * (a2 * a2 - a1 * a1) / 2.0
+            ad = np.abs(d)
+            e = np.exp(-ad)
+            post_ent += w_j * ((np.log1p(e) + e / (1.0 + e) * ad) @ wq)
         return np.maximum(entropy(prior) - post_ent, 0.0)
-    for j in range(a.size):
-        y = sq * a[j] + z
-        ll = lw - 0.5 * (y[:, :, None] - sq[:, None, :] * a) ** 2
-        ll -= ll.max(axis=-1, keepdims=True)
+    for w_j, _, ll in _log_posteriors(prior, s_arr, z):
         q = np.exp(ll)
         norm = q.sum(axis=-1)
         ent = np.log(norm) - (q * ll).sum(axis=-1) / norm
-        post_ent += w[j] * (ent @ wq)
+        post_ent += w_j * (ent @ wq)
     return np.maximum(entropy(prior) - post_ent, 0.0)
 
 
-def _adaptive(nodes_fn, prior, s_arr, tol):
+def _ladder(nodes_fn, prior, tol, nodes, s_arr):
+    """``nodes_fn`` on one chunk: at the fixed order ``nodes`` if given, else up
+    ``NODE_LADDER`` until successive rungs agree to ``tol``."""
+    if nodes is not None:
+        return nodes_fn(prior, s_arr, nodes)
     prev = None
     for n in NODE_LADDER:
         cur = nodes_fn(prior, s_arr, n)
@@ -238,25 +241,16 @@ def _snr_grid(s_values) -> np.ndarray:
     return s_arr
 
 
-def _chunked(fn, s_values):
-    """``fn`` on the positive entries of an s grid, ``_CHUNK`` at a time.
-
-    Returns the values (unset where s = 0) and the mask of positive entries.
-    """
+def _curve(s_values, at_zero: float, fn) -> np.ndarray:
+    """``at_zero`` where s = 0, and ``fn`` on the positive entries of the s grid,
+    ``_CHUNK`` at a time."""
     s_arr = _snr_grid(s_values)
-    out = np.empty_like(s_arr)
-    pos = s_arr > 0.0
-    idx = np.flatnonzero(pos)
+    out = np.full_like(s_arr, at_zero)
+    idx = np.flatnonzero(s_arr > 0.0)
     for k in range(0, idx.size, _CHUNK):
         sel = idx[k:k + _CHUNK]
         out[sel] = fn(s_arr[sel])
-    return out, pos
-
-
-def _adaptive_chunked(nodes_fn, prior, s_values, tol, nodes=None):
-    if nodes is not None:
-        return _chunked(lambda s: nodes_fn(prior, s, nodes), s_values)
-    return _chunked(lambda s: _adaptive(nodes_fn, prior, s, tol), s_values)
+    return out
 
 
 def _mi_tol(prior: DiscretePrior) -> float:
@@ -285,14 +279,15 @@ def mmse_curve(prior: DiscretePrior, s_values, *, nodes: int | None = None) -> n
     ladder per chunk of ``_CHUNK`` points to ``QUAD_TOL`` and raise
     :class:`QuadratureError` if it does not converge.  ``nodes`` pins a fixed
     Gauss-Hermite order for any prior, skipping both: it is the brute-force
-    reference the exact path is tested against.
+    reference the exact path is tested against.  For two atoms the exact path
+    and ``nodes`` are two quadratures of one expectation, the one
+    :func:`_two_point_log_odds` states.
     """
-    if nodes is None and prior.atom_array.size == 2:
-        out, pos = _chunked(functools.partial(_mmse_two_point, prior), s_values)
+    if nodes is None and prior.natoms == 2:
+        fn = functools.partial(_mmse_two_point, prior)
     else:
-        out, pos = _adaptive_chunked(_mmse_nodes, prior, s_values, QUAD_TOL, nodes)
-    out[~pos] = float(prior.weight_array @ (prior.atom_array ** 2))
-    return out
+        fn = functools.partial(_ladder, _mmse_nodes, prior, QUAD_TOL, nodes)
+    return _curve(s_values, float(prior.weight_array @ (prior.atom_array ** 2)), fn)
 
 
 def mutual_info(prior: DiscretePrior, s: float) -> float:
@@ -310,15 +305,13 @@ def mutual_info_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL,
 
     ``nodes`` pins a fixed quadrature order, as in :func:`mmse_curve`.
     """
-    out, pos = _adaptive_chunked(_mi_nodes, prior, s_values, tol, nodes)
-    out[~pos] = 0.0
-    return out
+    return _curve(s_values, 0.0, functools.partial(_ladder, _mi_nodes, prior, tol, nodes))
 
 
 def mmse_q_approx(epsilon: float, s):
     """Gaussian-tail surrogate for the two-point MMSE at spike weight epsilon.
 
-    Evaluates Q((s - 2*eps*ln(1/eps)) / (2*sqrt(s*eps))); the surrogate
+    Evaluates Q((s - 2*eps*ln(1/eps)) / (2*sqrt(s)*sqrt(eps))); the surrogate
     converges uniformly to the true two-point MMSE as epsilon shrinks and is
     the evaluation path once quadrature underflows.
     """
@@ -327,7 +320,8 @@ def mmse_q_approx(epsilon: float, s):
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0):
         raise ValueError("s must be positive")
-    arg = (s_arr - 2.0 * epsilon * math.log(1.0 / epsilon)) / (2.0 * np.sqrt(s_arr * epsilon))
+    arg = (s_arr - 2.0 * epsilon * math.log(1.0 / epsilon)) \
+        / (2.0 * np.sqrt(s_arr) * math.sqrt(epsilon))
     out = 0.5 * erfc(arg / math.sqrt(2.0))      # standard normal upper tail Q(arg)
     if np.ndim(s) == 0:
         return float(out)
@@ -386,19 +380,17 @@ def mmse_eval_curve(prior: DiscretePrior, s_values):
     and fix the accuracy: M as in :func:`mmse_curve`, I to :func:`_mi_tol` of
     the prior."""
     eps = approx_epsilon(prior)
-    s_arr = _snr_grid(s_values)
     if eps is not None:
-        out = np.where(s_arr > 0.0, mmse_q_approx(eps, np.maximum(s_arr, 1e-300)), 1.0)
-        return out, MODE_APPROX
-    return mmse_curve(prior, s_arr), MODE_QUADRATURE
+        return _curve(s_values, 1.0, functools.partial(mmse_q_approx, eps)), MODE_APPROX
+    return mmse_curve(prior, s_values), MODE_QUADRATURE
 
 
 def mutual_info_eval_curve(prior: DiscretePrior, s_values, *, tol: float | None = None):
     """I on an s grid plus the mode tag (see :func:`mmse_eval_curve`); ``tol``
     overrides the quadrature tolerance, which is otherwise ``_mi_tol(prior)``."""
     eps = approx_epsilon(prior)
-    s_arr = _snr_grid(s_values)
     if eps is not None:
+        s_arr = _snr_grid(s_values)
         # Cumulative trapezoid of the surrogate on 8192 even steps of [0, max s],
         # then interpolate: far cheaper than one adaptive integral per point, but
         # accurate only while the step max(s)/8191 is far below the transition
@@ -416,7 +408,7 @@ def mutual_info_eval_curve(prior: DiscretePrior, s_values, *, tol: float | None 
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (m[1:] + m[:-1]) * np.diff(base))])
         return 0.5 * np.interp(s_arr, base, cum), MODE_APPROX
     tol = _mi_tol(prior) if tol is None else tol
-    return mutual_info_curve(prior, s_arr, tol=tol), MODE_QUADRATURE
+    return mutual_info_curve(prior, s_values, tol=tol), MODE_QUADRATURE
 
 
 @dataclass

@@ -97,6 +97,8 @@ class TestMmse:
 
 NEGATIVE_SPIKE = DiscretePrior(atoms=(-math.sqrt(0.99 / 0.01), math.sqrt(0.01 / 0.99)),
                                weights=(0.01, 0.99))
+# Spike at -3 with weight 0.1: M falls to ~1e-31 by s = 50.
+DEEP_NEGATIVE_SPIKE = DiscretePrior(atoms=(-3.0, 1.0 / 3.0), weights=(0.1, 0.9))
 
 
 def _closed_form_mmse(eps, s):
@@ -233,6 +235,12 @@ class TestQApprox:
         s0 = 2 * eps * math.log(1 / eps)
         assert mmse_q_approx(eps, s0) == pytest.approx(0.5, abs=1e-12)
 
+    def test_no_underflow_at_tiny_epsilon(self):
+        # sqrt(s * eps) underflows to 0 here; sqrt(s) * sqrt(eps) does not.
+        assert mmse_q_approx(1e-200, 6.44e-198) == pytest.approx(0.99999997597, abs=1e-11)
+        assert normalized_smallest_stationary(1e-200, 1.5, 5.0) == pytest.approx(0.6976,
+                                                                                   abs=1e-4)
+
     def test_vanishes_at_large_s(self):
         eps = 1e-4
         s0 = 2 * eps * math.log(1 / eps)
@@ -345,15 +353,23 @@ class TestBinaryFastPath:
             i_out += w[j] * ((-xlogy(p, p).sum(-1)) @ wq)
         return m_out, entropy(prior) - i_out
 
-    @pytest.mark.parametrize("eps", [0.5, 0.05, 1e-3])
-    def test_matches_reference(self, eps):
-        prior = two_point(eps)
+    @pytest.mark.parametrize("prior", [two_point(0.5), two_point(0.05), two_point(1e-3),
+                                       THREE_ATOM, DEEP_NEGATIVE_SPIKE],
+                             ids=["0.5", "0.05", "0.001", "three-atom", "deep-negative-spike"])
+    def test_matches_reference(self, prior):
         s_arr = np.geomspace(1e-3, 30, 25)
         m_ref, i_ref = self._reference(prior, s_arr, 241)
         np.testing.assert_allclose(channel._mmse_nodes(prior, s_arr, 241), m_ref,
                                    atol=1e-13)
         np.testing.assert_allclose(channel._mi_nodes(prior, s_arr, 241), i_ref,
                                    atol=1e-13)
+
+    def test_gauss_hermite_keeps_relative_digits(self):
+        # M falls to ~1e-31 here.  The oracle must keep its relative digits,
+        # which forming (a_j - E[beta0|y])^2 as a difference would cancel.
+        s_arr = np.geomspace(5, 50, 6)
+        np.testing.assert_allclose(channel._mmse_nodes(DEEP_NEGATIVE_SPIKE, s_arr, 1921),
+                                   mmse_curve(DEEP_NEGATIVE_SPIKE, s_arr), rtol=1e-3, atol=0)
 
 
 class TestGenericPriorSupport:
