@@ -12,7 +12,14 @@ over the other atom's posterior log-odds (:func:`_two_point_log_odds`).  Two
 quadratures evaluate it: the exact one, a closed-form step plus a remainder on a
 fixed Gauss-Legendre rule (:func:`_mmse_two_point`), and the fixed Gauss-Hermite
 oracle (``nodes=``).  I, and M of priors with more atoms, use adaptive
-Gauss-Hermite quadrature.
+Gauss-Hermite quadrature.  Under atom j the log posterior of atom k is affine
+in the node z, lw_k + s*a_k*(a_j - a_k/2) + sqrt(s)*a_k*z, once the common
+-y^2/2 is dropped, so the many-atom kernels hold one (S, K) array per atom
+(:func:`_log_posteriors`), and M's error sum_{k != j} q_k (a_j - a_k) / sum_k q_k
+keeps the digits that a_j - E[beta0|y] would cancel.  Every fixed rule, the
+Gauss-Hermite kernels and the two-point remainder, runs on blocks of at most
+``_BLOCK`` point-node pairs (:func:`_rows`), with the same values as one call
+on the whole chunk.
 
 Below spike probability ``APPROX_EPSILON`` the two-point quantities are
 evaluated through a Gaussian-tail surrogate instead; callers can audit which
@@ -46,6 +53,12 @@ MODE_APPROX = "approx"
 # depend on it; potential.smallest_stationary walks the same blocks so that it
 # matches a full scan bit for bit.
 _CHUNK = 256
+
+# The fixed node rules run on blocks of grid points (see _rows) that hold at
+# most _BLOCK point-node pairs, so each temporary stays under 128 KiB, glibc's
+# default mmap threshold, above which an allocation can be mapped and faulted
+# in afresh.  Smaller blocks pay numpy's per-call overhead at the low rungs.
+_BLOCK = 16384
 
 # Two-point remainder rule: Gauss-Legendre panels in |u| on each side of u = 0.
 # The remainder's weight decays like exp(-|u|), so it is below 1e-20 past 48.
@@ -110,15 +123,23 @@ def _two_point_log_odds(prior: DiscretePrior, s_arr: np.ndarray):
 
 
 def _log_posteriors(prior: DiscretePrior, s_arr: np.ndarray, z: np.ndarray):
-    """Per atom j: its weight and atom, and the max-shifted log posterior (S, K, A)
-    of the observation sqrt(s)*a_j + z."""
+    """Per atom j: its weight and atom, and the max-shifted log posteriors of all
+    atoms k, A separate (S, K) arrays, of the observation y = sqrt(s)*a_j + z.
+
+    Dropping the common -y^2/2, atom k's log posterior is affine in the node z,
+    lw_k + s*a_k*(a_j - a_k/2) + sqrt(s)*a_k*z, so the slopes sqrt(s)*a_k*z are
+    shared by every j and no (S, K, A) array is formed.
+    """
     a = prior.atom_array
     lw = prior.log_weight_array
     sq = np.sqrt(s_arr)[:, None]
+    slopes = [sq * a_k * z for a_k in a]                       # A x (S, K)
     for w_j, a_j in zip(prior.weight_array, a):
-        y = sq * a_j + z                                         # (S, K)
-        ll = lw - 0.5 * (y[:, :, None] - sq[:, None, :] * a) ** 2
-        ll -= ll.max(axis=-1, keepdims=True)
+        ll = [(lw_k + s_arr * a_k * (a_j - 0.5 * a_k))[:, None] + bz
+              for lw_k, a_k, bz in zip(lw, a, slopes)]
+        top = functools.reduce(np.maximum, ll)
+        for ll_k in ll:
+            ll_k -= top
         yield w_j, a_j, ll
 
 
@@ -134,11 +155,17 @@ def _mmse_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
             sig = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
             out += w_j * ((sig * sig) @ wq)
         return d * d * out
-    a = prior.atom_array
+    # a_j - E[beta0|y] as sum_{k != j} q_k (a_j - a_k) / sum_k q_k: no cancellation.
     for w_j, a_j, ll in _log_posteriors(prior, s_arr, z):
-        p = np.exp(ll)
-        p /= p.sum(axis=-1, keepdims=True)
-        out += w_j * ((a_j - p @ a) ** 2 @ wq)
+        q = [np.exp(ll_k, out=ll_k) for ll_k in ll]
+        norm = functools.reduce(np.add, q)
+        err = np.zeros_like(norm)
+        for q_k, a_k in zip(q, prior.atoms):
+            if a_k != a_j:
+                q_k *= a_j - a_k
+                err += q_k
+        err /= norm
+        out += w_j * ((err * err) @ wq)
     return out
 
 
@@ -169,22 +196,34 @@ def _mmse_two_point(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
     is formed as exp(log(w_j D^2) + ...), so spike weights far below 1e-16 keep
     their digits.  Points with B < 2 use fixed Gauss-Hermite instead.
     """
-    d, b, c = _two_point_log_odds(prior, s_arr)
+    _, b, _ = _two_point_log_odds(prior, s_arr)
     out = np.empty_like(s_arr)
     small = b < _TWO_POINT_MIN_B
     if small.any():     # skip empty calls: the root finders make many size-1 calls
-        out[small] = _mmse_nodes(prior, s_arr[small], _TWO_POINT_SMALL_B_NODES)
+        out[small] = _rows(functools.partial(_mmse_nodes, prior, n=_TWO_POINT_SMALL_B_NODES),
+                           s_arr[small], _TWO_POINT_SMALL_B_NODES)
     big = ~small
-    if not big.any():
-        return out
-    b = b[big]
-    u, wr = _remainder_rule()
-    total = np.zeros_like(b)
-    for lw_j, c_j in zip(prior.log_weight_array + math.log(d * d), c[:, big]):
-        x = (u - c_j[:, None]) / b[:, None]                  # (S, K)
-        total += np.exp(lw_j + log_ndtr(c_j / b)) + (np.exp(lw_j - 0.5 * x * x) @ wr) / b
-    out[big] = total
+    if big.any():
+        out[big] = _rows(functools.partial(_step_remainder, prior), s_arr[big],
+                         _remainder_rule()[0].size)
     return out
+
+
+def _step_remainder(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
+    """The step plus remainder of :func:`_mmse_two_point`, for points with B >= 2."""
+    d, b, c = _two_point_log_odds(prior, s_arr)
+    u, wr = _remainder_rule()
+    total = np.zeros_like(s_arr)
+    for lw_j, c_j in zip(prior.log_weight_array + math.log(d * d), c):
+        # lw_j - ((u - c_j)/b)^2 / 2 in place, one (S, K) array per atom; halving
+        # is exact, so this is the same double as lw_j - 0.5*x*x.
+        x = u - c_j[:, None]                                 # (S, K)
+        x /= b[:, None]
+        x *= x
+        x *= -0.5
+        x += lw_j
+        total += np.exp(lw_j + log_ndtr(c_j / b)) + (np.exp(x, out=x) @ wr) / b
+    return total
 
 
 def _mi_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
@@ -211,9 +250,11 @@ def _mi_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
             post_ent += w_j * ((np.log1p(e) + e / (1.0 + e) * ad) @ wq)
         return np.maximum(entropy(prior) - post_ent, 0.0)
     for w_j, _, ll in _log_posteriors(prior, s_arr, z):
-        q = np.exp(ll)
-        norm = q.sum(axis=-1)
-        ent = np.log(norm) - (q * ll).sum(axis=-1) / norm
+        q = [np.exp(ll_k) for ll_k in ll]
+        norm = functools.reduce(np.add, q)
+        for q_k, ll_k in zip(q, ll):
+            q_k *= ll_k
+        ent = np.log(norm) - functools.reduce(np.add, q) / norm
         post_ent += w_j * (ent @ wq)
     return np.maximum(entropy(prior) - post_ent, 0.0)
 
@@ -221,17 +262,41 @@ def _mi_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
 def _ladder(nodes_fn, prior, tol, nodes, s_arr):
     """``nodes_fn`` on one chunk: at the fixed order ``nodes`` if given, else up
     ``NODE_LADDER`` until successive rungs agree to ``tol``."""
+    def rung(n):
+        return _rows(functools.partial(nodes_fn, prior, n=n), s_arr, n)
+
     if nodes is not None:
-        return nodes_fn(prior, s_arr, nodes)
+        return rung(nodes)
     prev = None
     for n in NODE_LADDER:
-        cur = nodes_fn(prior, s_arr, n)
+        cur = rung(n)
         if prev is not None and float(np.max(np.abs(cur - prev))) <= tol:
             return cur
         prev = cur
     raise QuadratureError(
         f"Gauss-Hermite refinement up to {NODE_LADDER[-1]} nodes did not "
         f"stabilize within {tol:g} (prior {prior.label or prior.atoms})")
+
+
+def _rows(fn, s_arr: np.ndarray, width: int) -> np.ndarray:
+    """``fn`` of a fixed rule with ``width`` nodes, on blocks of at most
+    ``_BLOCK // width`` points of ``s_arr``.
+
+    The rules' node sums are matrix-vector products, and OpenBLAS sums a row
+    with a kernel picked by the row's place in groups of four.  Blocks are a
+    multiple of four rows, so each row gets the value one call on all of
+    ``s_arr`` gives it.  A last block of one row would reach BLAS as a dot
+    product, so it joins the block before it.  The exception is a call big
+    enough for BLAS to split across threads (241 to 255 rows at 1921 nodes,
+    OpenBLAS 0.3.31), where the split can move rows between groups; the blocks
+    are never split, so their values do not depend on the thread count.
+    """
+    rows = max(4, _BLOCK // width // 4 * 4)
+    out = np.empty_like(s_arr)
+    edges = [*range(0, max(s_arr.size - 1, 1), rows), s_arr.size]
+    for lo, hi in zip(edges, edges[1:]):
+        out[lo:hi] = fn(s_arr[lo:hi])
+    return out
 
 
 def _snr_grid(s_values) -> np.ndarray:

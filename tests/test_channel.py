@@ -82,9 +82,11 @@ class TestMmse:
             mmse(two_point(0.1), -1.0)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
+        # A grid, not one point: a single s can land on the same double at two
+        # rungs, which meets any tolerance.
         monkeypatch.setattr(channel, "QUAD_TOL", 1e-30)
         with pytest.raises(QuadratureError):
-            mmse(THREE_ATOM, 1.0)
+            mmse_curve(THREE_ATOM, np.geomspace(0.5, 2.0, 16))
 
     def test_monotone_and_bounded(self):
         grid = np.geomspace(1e-3, 40, 60)
@@ -99,6 +101,19 @@ NEGATIVE_SPIKE = DiscretePrior(atoms=(-math.sqrt(0.99 / 0.01), math.sqrt(0.01 / 
                                weights=(0.01, 0.99))
 # Spike at -3 with weight 0.1: M falls to ~1e-31 by s = 50.
 DEEP_NEGATIVE_SPIKE = DiscretePrior(atoms=(-3.0, 1.0 / 3.0), weights=(0.1, 0.9))
+# The benchmark's ternary prior.
+TERNARY = DiscretePrior(atoms=(-math.sqrt(10.0), 0.0, math.sqrt(10.0)),
+                        weights=(0.05, 0.9, 0.05))
+
+
+def _standardized(atoms, weights):
+    a, w = np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float)
+    a = a - w @ a
+    a = a / math.sqrt(w @ (a * a))
+    return DiscretePrior(atoms=tuple(a), weights=tuple(w))
+
+
+FIVE_ATOM = _standardized((-2.0, -0.5, 0.3, 1.0, 3.5), (0.1, 0.3, 0.3, 0.2, 0.1))
 
 
 def _closed_form_mmse(eps, s):
@@ -354,15 +369,17 @@ class TestBinaryFastPath:
         return m_out, entropy(prior) - i_out
 
     @pytest.mark.parametrize("prior", [two_point(0.5), two_point(0.05), two_point(1e-3),
-                                       THREE_ATOM, DEEP_NEGATIVE_SPIKE],
-                             ids=["0.5", "0.05", "0.001", "three-atom", "deep-negative-spike"])
+                                       THREE_ATOM, DEEP_NEGATIVE_SPIKE, TERNARY, FIVE_ATOM],
+                             ids=["0.5", "0.05", "0.001", "three-atom", "deep-negative-spike",
+                                  "ternary", "five-atom"])
     def test_matches_reference(self, prior):
-        s_arr = np.geomspace(1e-3, 30, 25)
-        m_ref, i_ref = self._reference(prior, s_arr, 241)
-        np.testing.assert_allclose(channel._mmse_nodes(prior, s_arr, 241), m_ref,
-                                   atol=1e-13)
-        np.testing.assert_allclose(channel._mi_nodes(prior, s_arr, 241), i_ref,
-                                   atol=1e-13)
+        s_arr = np.geomspace(1e-3, 50, 25)
+        for n in (241, 961, 1921):
+            m_ref, i_ref = self._reference(prior, s_arr, n)
+            np.testing.assert_allclose(channel._mmse_nodes(prior, s_arr, n), m_ref,
+                                       atol=1e-13)
+            np.testing.assert_allclose(channel._mi_nodes(prior, s_arr, n), i_ref,
+                                       atol=1e-13)
 
     def test_gauss_hermite_keeps_relative_digits(self):
         # M falls to ~1e-31 here.  The oracle must keep its relative digits,
@@ -370,6 +387,25 @@ class TestBinaryFastPath:
         s_arr = np.geomspace(5, 50, 6)
         np.testing.assert_allclose(channel._mmse_nodes(DEEP_NEGATIVE_SPIKE, s_arr, 1921),
                                    mmse_curve(DEEP_NEGATIVE_SPIKE, s_arr), rtol=1e-3, atol=0)
+
+
+class TestRowBlocks:
+    """The curves run the node kernels a few rows at a time; that must change no value."""
+
+    @pytest.mark.parametrize("prior", [two_point(1e-4), two_point(1e-8), THREE_ATOM, TERNARY],
+                             ids=["1e-4", "1e-8", "three-atom", "ternary"])
+    # 97 points leave a one-row remainder at the top rungs' block sizes.
+    @pytest.mark.parametrize("size", [97, 256])
+    def test_blocking_changes_no_value(self, prior, size):
+        s_arr = np.geomspace(1e-3, 50, size)
+        for n in channel.NODE_LADDER:
+            assert np.array_equal(mmse_curve(prior, s_arr, nodes=n),
+                                  channel._mmse_nodes(prior, s_arr, n))
+            assert np.array_equal(mutual_info_curve(prior, s_arr, nodes=n),
+                                  channel._mi_nodes(prior, s_arr, n))
+        if prior.natoms == 2:   # the exact path's remainder rule; B >= 2 on this grid
+            assert np.array_equal(mmse_curve(prior, s_arr),
+                                  channel._step_remainder(prior, s_arr))
 
 
 class TestGenericPriorSupport:
