@@ -19,7 +19,10 @@ in the node z, lw_k + s*a_k*(a_j - a_k/2) + sqrt(s)*a_k*z, once the common
 keeps the digits that a_j - E[beta0|y] would cancel.  Every fixed rule, the
 Gauss-Hermite kernels and the two-point remainder, runs on blocks of at most
 ``_BLOCK`` point-node pairs (:func:`_rows`), with the same values as one call
-on the whole chunk.
+on the whole chunk.  The kernels write every (S, K) intermediate with ``out=``
+into a thread-local workspace (:func:`_scratch`) that is grown to the largest
+block and kept, so after the first blocks they allocate nothing of that size;
+threads never share it, and it changes no value.
 
 Below spike probability ``APPROX_EPSILON`` the two-point quantities are
 evaluated through a Gaussian-tail surrogate instead; callers can audit which
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +59,15 @@ MODE_APPROX = "approx"
 _CHUNK = 256
 
 # The fixed node rules run on blocks of grid points (see _rows) that hold at
-# most _BLOCK point-node pairs, so each temporary stays under 128 KiB, glibc's
-# default mmap threshold, above which an allocation can be mapped and faulted
-# in afresh.  Smaller blocks pay numpy's per-call overhead at the low rungs.
+# most _BLOCK point-node pairs, plus one row where a one-row tail joins the last
+# block.  Each (S, K) intermediate of a block lives in _workspace, which belongs
+# to the calling thread and stays mapped across blocks and calls (see _scratch),
+# so the kernels allocate, free and fault in nothing of block size.  It grows to
+# about (2A + 2) * _BLOCK doubles for an A-atom prior, 1 MiB at three atoms.
+# Larger blocks grow it in step; smaller ones pay numpy's per-call overhead at
+# the low rungs.
 _BLOCK = 16384
+_workspace = threading.local()
 
 # Two-point remainder rule: Gauss-Legendre panels in |u| on each side of u = 0.
 # The remainder's weight decays like exp(-|u|), so it is below 1e-20 past 48.
@@ -122,24 +131,52 @@ def _two_point_log_odds(prior: DiscretePrior, s_arr: np.ndarray):
     return d, np.sqrt(s_arr) * d, (lw[::-1] - lw)[:, None] - 0.5 * s_arr * d * d
 
 
-def _log_posteriors(prior: DiscretePrior, s_arr: np.ndarray, z: np.ndarray):
+def _scratch(shape, count: int) -> list:
+    """``count`` distinct float arrays of ``shape`` from this thread's workspace.
+
+    The node kernels write every (S, K) intermediate into these with ``out=``,
+    so a block allocates nothing of its size.  The pool is grown to the largest
+    request and never shrunk; at _rows' blocks that is at most (2A + 2) *
+    (_BLOCK + K) doubles for an A-atom prior.  Contents are whatever the last
+    use left, so a kernel writes each array before it reads it.
+    """
+    size = shape[0] * shape[1]
+    pool = getattr(_workspace, "pool", None)
+    if pool is None or pool.size < count * size:
+        pool = _workspace.pool = np.empty(count * size)
+    return [pool[k * size:(k + 1) * size].reshape(shape) for k in range(count)]
+
+
+def _fold(ufunc, arrays, out):
+    """``functools.reduce(ufunc, arrays)``, each step written into ``out``."""
+    acc = arrays[0]
+    for x in arrays[1:]:
+        acc = ufunc(acc, x, out=out)
+    return acc
+
+
+def _log_posteriors(prior: DiscretePrior, s_arr: np.ndarray, z: np.ndarray, ws):
     """Per atom j: its weight and atom, and the max-shifted log posteriors of all
     atoms k, A separate (S, K) arrays, of the observation y = sqrt(s)*a_j + z.
 
     Dropping the common -y^2/2, atom k's log posterior is affine in the node z,
     lw_k + s*a_k*(a_j - a_k/2) + sqrt(s)*a_k*z, so the slopes sqrt(s)*a_k*z are
-    shared by every j and no (S, K, A) array is formed.
+    shared by every j and no (S, K, A) array is formed.  They go to the first A
+    workspace arrays of ``ws``, the log posteriors to the next A, and the max
+    shift to ``ws[2A]``, which the caller may reuse once a j is yielded.
     """
     a = prior.atom_array
     lw = prior.log_weight_array
+    slopes, ll, top = ws[:a.size], ws[a.size:2 * a.size], ws[2 * a.size]
     sq = np.sqrt(s_arr)[:, None]
-    slopes = [sq * a_k * z for a_k in a]                       # A x (S, K)
+    for a_k, bz in zip(a, slopes):
+        np.multiply(sq * a_k, z, out=bz)
     for w_j, a_j in zip(prior.weight_array, a):
-        ll = [(lw_k + s_arr * a_k * (a_j - 0.5 * a_k))[:, None] + bz
-              for lw_k, a_k, bz in zip(lw, a, slopes)]
-        top = functools.reduce(np.maximum, ll)
+        for lw_k, a_k, bz, ll_k in zip(lw, a, slopes, ll):
+            np.add((lw_k + s_arr * a_k * (a_j - 0.5 * a_k))[:, None], bz, out=ll_k)
+        shift = _fold(np.maximum, ll, top)
         for ll_k in ll:
-            ll_k -= top
+            np.subtract(ll_k, shift, out=ll_k)
         yield w_j, a_j, ll
 
 
@@ -147,25 +184,35 @@ def _mmse_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
     """Fixed-node Gauss-Hermite quadrature of the posterior-mean squared error."""
     z, wq = _gh(n)
     out = np.zeros_like(s_arr)
+    shape = (s_arr.size, n)
     if prior.natoms == 2:
         d, b, c = _two_point_log_odds(prior, s_arr)
+        bz, u, e, sig = _scratch(shape, 4)
+        np.multiply(b[:, None], z, out=bz)
         for w_j, c_j in zip(prior.weight_array, c):
-            u = c_j[:, None] + b[:, None] * z                    # (S, K)
-            e = np.exp(-np.abs(u))
-            sig = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
-            out += w_j * ((sig * sig) @ wq)
+            np.add(c_j[:, None], bz, out=u)                 # u = c_j + B z
+            np.abs(u, out=e)
+            np.negative(e, out=e)
+            np.exp(e, out=e)                                # e = exp(-|u|)
+            # where(u >= 0, 1, e) as max([u >= 0], e): the same double, as 0 <= e <= 1.
+            np.greater_equal(u, 0.0, out=sig)
+            np.maximum(sig, e, out=sig)
+            np.divide(sig, np.add(1.0, e, out=u), out=sig)  # sigma(u)
+            out += w_j * (np.multiply(sig, sig, out=sig) @ wq)
         return d * d * out
+    ws = _scratch(shape, 2 * prior.natoms + 2)
+    err = ws[-1]
     # a_j - E[beta0|y] as sum_{k != j} q_k (a_j - a_k) / sum_k q_k: no cancellation.
-    for w_j, a_j, ll in _log_posteriors(prior, s_arr, z):
+    for w_j, a_j, ll in _log_posteriors(prior, s_arr, z, ws):
         q = [np.exp(ll_k, out=ll_k) for ll_k in ll]
-        norm = functools.reduce(np.add, q)
-        err = np.zeros_like(norm)
+        norm = _fold(np.add, q, ws[-2])
+        err.fill(0.0)
         for q_k, a_k in zip(q, prior.atoms):
             if a_k != a_j:
                 q_k *= a_j - a_k
                 err += q_k
         err /= norm
-        out += w_j * ((err * err) @ wq)
+        out += w_j * (np.multiply(err, err, out=err) @ wq)
     return out
 
 
@@ -213,11 +260,12 @@ def _step_remainder(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
     """The step plus remainder of :func:`_mmse_two_point`, for points with B >= 2."""
     d, b, c = _two_point_log_odds(prior, s_arr)
     u, wr = _remainder_rule()
+    (x,) = _scratch((s_arr.size, u.size), 1)
     total = np.zeros_like(s_arr)
     for lw_j, c_j in zip(prior.log_weight_array + math.log(d * d), c):
-        # lw_j - ((u - c_j)/b)^2 / 2 in place, one (S, K) array per atom; halving
-        # is exact, so this is the same double as lw_j - 0.5*x*x.
-        x = u - c_j[:, None]                                 # (S, K)
+        # lw_j - ((u - c_j)/b)^2 / 2 in place, per atom; halving is exact, so
+        # this is the same double as lw_j - 0.5*x*x.
+        np.subtract(u, c_j[:, None], out=x)
         x /= b[:, None]
         x *= x
         x *= -0.5
@@ -235,26 +283,39 @@ def _mi_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
     """
     z, wq = _gh(n)
     post_ent = np.zeros_like(s_arr)
+    shape = (s_arr.size, n)
     if prior.natoms == 2:
         # Binary posterior entropy log1p(e) + |d| e/(1 + e), from the upper
         # atom's log-odds d, which are affine in the observation y.
         a1, a2 = prior.atoms
         lw = prior.log_weight_array
         sq = np.sqrt(s_arr)[:, None]
+        ad, e, t = _scratch(shape, 3)
         for w_j, a_j in zip(prior.weight_array, prior.atoms):
-            y = sq * a_j + z
-            d = (lw[1] - lw[0]) + sq * (a2 - a1) * y \
-                - s_arr[:, None] * (a2 * a2 - a1 * a1) / 2.0
-            ad = np.abs(d)
-            e = np.exp(-ad)
-            post_ent += w_j * ((np.log1p(e) + e / (1.0 + e) * ad) @ wq)
+            np.add(sq * a_j, z, out=ad)                     # y
+            np.multiply(sq * (a2 - a1), ad, out=ad)
+            np.add(lw[1] - lw[0], ad, out=ad)
+            np.subtract(ad, s_arr[:, None] * (a2 * a2 - a1 * a1) / 2.0, out=ad)
+            np.abs(ad, out=ad)                              # |d|
+            np.negative(ad, out=e)
+            np.exp(e, out=e)
+            np.add(1.0, e, out=t)
+            np.divide(e, t, out=t)
+            np.multiply(t, ad, out=t)
+            post_ent += w_j * (np.add(np.log1p(e, out=e), t, out=e) @ wq)
         return np.maximum(entropy(prior) - post_ent, 0.0)
-    for w_j, _, ll in _log_posteriors(prior, s_arr, z):
-        q = [np.exp(ll_k) for ll_k in ll]
-        norm = functools.reduce(np.add, q)
-        for q_k, ll_k in zip(q, ll):
-            q_k *= ll_k
-        ent = np.log(norm) - functools.reduce(np.add, q) / norm
+    ws = _scratch(shape, 2 * prior.natoms + 2)
+    norm, q = ws[-2:]
+    for w_j, _, ll in _log_posteriors(prior, s_arr, z, ws):
+        # One q_k = exp(ll_k) at a time: norm sums them, and ll_k becomes q_k * ll_k.
+        for k, ll_k in enumerate(ll):
+            q_k = np.exp(ll_k, out=q if k else norm)
+            if k:
+                norm += q_k
+            ll_k *= q_k
+        ent = _fold(np.add, ll, ll[0])
+        ent /= norm
+        np.subtract(np.log(norm, out=norm), ent, out=ent)
         post_ent += w_j * (ent @ wq)
     return np.maximum(entropy(prior) - post_ent, 0.0)
 

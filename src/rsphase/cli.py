@@ -82,6 +82,10 @@ class SweepSpec:
             raise SpecError(f"mode: unknown mode {self.mode!r}")
         if self.jobs < 1:
             raise SpecError(f"jobs: must be >= 1, got {self.jobs}")
+        for name, value in self.__dict__.items():
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, list) else [value])):
+                raise SpecError(f"{name}: must be finite, got {value!r}")
         # "a|b" is satisfied by either field; None and [] count as unset.
         for need in SUBCOMMANDS[self.mode].required:
             names = need.split("|")

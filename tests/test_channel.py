@@ -4,7 +4,12 @@ Monte Carlo oracles are seeded and compared at 3 standard errors; integral
 oracles use scipy.integrate.quad against the quadrature path under test.
 """
 
+import functools
 import math
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -406,6 +411,79 @@ class TestRowBlocks:
         if prior.natoms == 2:   # the exact path's remainder rule; B >= 2 on this grid
             assert np.array_equal(mmse_curve(prior, s_arr),
                                   channel._step_remainder(prior, s_arr))
+
+
+def _in_fresh_thread(fn):
+    """``fn()`` on a new thread, which starts with an empty kernel workspace."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=300)
+
+
+_WS_GRID = np.geomspace(1e-3, 50, 97)
+# Two, three and five atoms at three rungs, then the exact two-point path.
+_WS_CALLS = [functools.partial(fn, prior, _WS_GRID, nodes=n)
+             for prior in (two_point(1e-4), TERNARY, FIVE_ATOM) for n in (61, 481, 1921)
+             for fn in (mmse_curve, mutual_info_curve)] \
+    + [functools.partial(mmse_curve, two_point(1e-4), _WS_GRID)]
+
+
+class TestWorkspace:
+    """The node kernels keep their (S, K) intermediates in a per-thread workspace
+    that outlives each call; no value may depend on what used it before."""
+
+    def _run(self, calls):
+        return [call() for call in calls]
+
+    def test_interleaved_calls_match_fresh_ones(self):
+        fresh = [_in_fresh_thread(call) for call in _WS_CALLS]
+        forward = self._run(_WS_CALLS)
+        backward = self._run(_WS_CALLS[::-1])[::-1]
+        for ref, a, b in zip(fresh, forward, backward):
+            assert np.array_equal(a, ref) and np.array_equal(b, ref)
+
+    def test_concurrent_threads_match_serial(self):
+        # Three threads, more than a 2-core runner has, each starting the list at
+        # a different call, with a short switch interval to interleave kernels.
+        serial = self._run(_WS_CALLS)
+        shifts = (0, len(_WS_CALLS) // 3, 2 * len(_WS_CALLS) // 3)
+        start = threading.Barrier(len(shifts))
+
+        def worker(k):
+            start.wait(timeout=60)
+            return [self._run(_WS_CALLS[k:] + _WS_CALLS[:k]) for _ in range(2)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(shifts)) as pool:
+                futures = [pool.submit(worker, k) for k in shifts]
+                runs = [f.result(timeout=300) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, reps in zip(shifts, runs):
+            for values in reps:
+                for ref, v in zip(serial[k:] + serial[:k], values):
+                    assert np.array_equal(v, ref)
+
+
+class TestAllocation:
+    """Once the workspace has grown, a curve allocates nothing of block size."""
+
+    @pytest.mark.parametrize("prior", [two_point(1e-4), TERNARY], ids=["1e-4", "ternary"])
+    @pytest.mark.parametrize("nodes", [61, 481, 1921, None])
+    @pytest.mark.parametrize("fn", [mmse_curve, mutual_info_curve])
+    def test_peak_below_two_blocks(self, prior, nodes, fn):
+        s_arr = np.geomspace(1e-3, 50, 256)
+        fn(prior, s_arr, nodes=nodes)               # grows the workspace, fills the node tables
+        tracemalloc.start()
+        try:
+            fn(prior, s_arr, nodes=nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # What remains is per-point arrays and numpy's iterator buffers for the
+        # broadcast (S, 1)-by-(S, K) steps, at most 8192 doubles per operand.
+        assert peak <= 2 * channel._BLOCK * 8
 
 
 class TestGenericPriorSupport:

@@ -385,6 +385,39 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             SweepSpec(mode="amp", p=100).validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("s_min", math.nan), ("s_max", math.inf), ("t_min", -math.inf),
+        ("t_max_grid", math.inf), ("t_max_grid", math.nan)])
+    def test_non_finite_grid_bound_named(self, field, value):
+        with pytest.raises(SpecError, match=f"^{field}: must be finite"):
+            SweepSpec(mode="channel", epsilon=0.1, **{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["snrs", "rs"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_list_value_named(self, field, value):
+        lists = {"epsilons": [0.01], "snrs": [5.0], "rs": [1.1], field: [5.0, value]}
+        with pytest.raises(SpecError, match=f"^{field}: must be finite"):
+            SweepSpec(mode="phase", **lists).validate()
+
+    @pytest.mark.parametrize("argv", [
+        ["channel", "--epsilon", "0.01", "--s-max", "inf"],
+        ["channel", "--epsilon", "0.01", "--s-min", "nan"],
+        ["phase", "--epsilons", "0.01", "--snrs", "inf", "--rs", "1.1"],
+        ["figure1", "--epsilons", "0.01", "--t-max", "inf"],
+        ["phase", "--epsilons", "0.01", "--snrs", "5", "--rs", "inf"],
+        ["potential", "--epsilon", "0.01", "--delta", "inf", "--snr", "5"],
+        ["thresholds", "--epsilon", "0.1", "--p", "100", "--sigma2", "inf"],
+    ], ids=["channel-s-max-inf", "channel-s-min-nan", "phase-snrs-inf", "figure1-t-max-inf",
+            "phase-rs-inf", "potential-delta-inf", "thresholds-sigma2-inf"])
+    @pytest.mark.filterwarnings("error")    # a numpy RuntimeWarning would print a second line
+    def test_non_finite_flag_is_one_config_error_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
+
     def test_hash_stable_under_out_and_jobs(self):
         a = SweepSpec(mode="channel", epsilon=0.1, out="x", jobs=1)
         b = SweepSpec(mode="channel", epsilon=0.1, out="y", jobs=4)
