@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import channel
+from ._numerics import brentq, minimize_bounded
 from .prior import DiscretePrior, two_point, two_point_entropy
 
 GRID_POINTS = 2000
@@ -180,9 +180,7 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
     for i in candidates:
         a = s_grid[max(i - 1, 0)]
         b = s_grid[min(i + 1, len(s_grid) - 1)]
-        res = minimize_scalar(objective, bounds=(a, b), method="bounded",
-                              options={"xatol": REFINE_RTOL * s_grid[i]})
-        refined.append((float(res.x), float(res.fun)))
+        refined.append(minimize_bounded(objective, a, b, xatol=REFINE_RTOL * s_grid[i]))
 
     refined.sort()
     merged = [refined[0]]
