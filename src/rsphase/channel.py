@@ -8,21 +8,23 @@ atoms of extreme spike priors separate like 1/sqrt(eps) and naive exponentials
 overflow already around eps ~ 1e-4.
 
 M of a two-atom prior is one expectation, D^2 * sum_j w_j E_z sigma(c_j + B z)^2
-over the other atom's posterior log-odds (:func:`_two_point_log_odds`).  Two
-quadratures evaluate it: the exact one, a closed-form step plus a remainder on a
-fixed Gauss-Legendre rule (:func:`_mmse_two_point`), and the fixed Gauss-Hermite
-oracle (``nodes=``).  I, and M of priors with more atoms, use adaptive
-Gauss-Hermite quadrature.  Under atom j the log posterior of atom k is affine
-in the node z, lw_k + s*a_k*(a_j - a_k/2) + sqrt(s)*a_k*z, once the common
--y^2/2 is dropped, so the many-atom kernels hold one (S, K) array per atom
-(:func:`_log_posteriors`), and M's error sum_{k != j} q_k (a_j - a_k) / sum_k q_k
-keeps the digits that a_j - E[beta0|y] would cancel.  Every fixed rule, the
-Gauss-Hermite kernels and the two-point remainder, runs on blocks of at most
-``_BLOCK`` point-node pairs (:func:`_rows`), with the same values as one call
-on the whole chunk.  The kernels write every (S, K) intermediate with ``out=``
-into a thread-local workspace (:func:`_scratch`) that is grown to the largest
-block and kept, so after the first blocks they allocate nothing of that size;
-threads never share it, and it changes no value.
+over the other atom's posterior log-odds (:func:`_two_point_log_odds`), and is
+evaluated exactly: a closed-form step plus a remainder on a fixed
+Gauss-Legendre rule (:func:`_mmse_two_point`).  I, and M of priors with more
+atoms, use adaptive Gauss-Hermite quadrature.  M's Gauss-Hermite kernel
+(:func:`_mmse_nodes`) is one for every prior; at a fixed order (``nodes=``) it
+is the oracle for the exact two-point M, and shares no formula with it.  Under
+atom j the log posterior of atom k is affine in the node z,
+lw_k + s*a_k*(a_j - a_k/2) + sqrt(s)*a_k*z, once the common -y^2/2 is dropped,
+so the generic kernels hold one (S, K) array per atom (:func:`_log_posteriors`),
+and M's error sum_{k != j} q_k (a_j - a_k) / sum_k q_k keeps the digits that
+a_j - E[beta0|y] would cancel.  Every fixed rule, the Gauss-Hermite kernels
+and the two-point remainder, runs on blocks of at most ``_BLOCK`` point-node
+pairs (:func:`_rows`), with the same values as one call on the whole chunk.
+The kernels write every (S, K) intermediate with ``out=`` into a thread-local
+workspace (:func:`_scratch`) that is grown to the largest block and kept, so
+after the first blocks they allocate nothing of that size; threads never share
+it, and it changes no value.
 
 Below spike probability ``APPROX_EPSILON`` the two-point quantities are
 evaluated through a Gaussian-tail surrogate instead; callers can audit which
@@ -187,23 +189,7 @@ def _mmse_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
     """Fixed-node Gauss-Hermite quadrature of the posterior-mean squared error."""
     z, wq = _gh(n)
     out = np.zeros_like(s_arr)
-    shape = (s_arr.size, n)
-    if prior.natoms == 2:
-        d, b, c = _two_point_log_odds(prior, s_arr)
-        bz, u, e, sig = _scratch(shape, 4)
-        np.multiply(b[:, None], z, out=bz)
-        for w_j, c_j in zip(prior.weight_array, c):
-            np.add(c_j[:, None], bz, out=u)                 # u = c_j + B z
-            np.abs(u, out=e)
-            np.negative(e, out=e)
-            np.exp(e, out=e)                                # e = exp(-|u|)
-            # where(u >= 0, 1, e) as max([u >= 0], e): the same double, as 0 <= e <= 1.
-            np.greater_equal(u, 0.0, out=sig)
-            np.maximum(sig, e, out=sig)
-            np.divide(sig, np.add(1.0, e, out=u), out=sig)  # sigma(u)
-            out += w_j * (np.multiply(sig, sig, out=sig) @ wq)
-        return d * d * out
-    ws = _scratch(shape, 2 * prior.natoms + 2)
+    ws = _scratch((s_arr.size, n), 2 * prior.natoms + 2)
     err = ws[-1]
     # a_j - E[beta0|y] as sum_{k != j} q_k (a_j - a_k) / sum_k q_k: no cancellation.
     for w_j, a_j, ll in _log_posteriors(prior, s_arr, z, ws):
@@ -242,9 +228,10 @@ def _mmse_two_point(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
     With D, B and c_j from :func:`_two_point_log_odds`, M = D^2 * sum_j w_j E(c_j, B)
     where E(A, B) = E_z sigma(A + B z)^2.  E splits into the step Phi(A/B) and a
     remainder R = (1/B) int phi((u - A)/B) rho(u) du whose weight rho decays like
-    exp(-|u|); R runs on the fixed panels of :func:`_remainder_rule`.  Each term
-    is formed as exp(log(w_j D^2) + ...), so spike weights far below 1e-16 keep
-    their digits.  Points with B < 2 use fixed Gauss-Hermite instead.
+    exp(-|u|); R runs on the fixed panels of :func:`_remainder_rule`.  Only R is
+    in the log domain, exp(log(w_j D^2) - ((u - c_j)/B)^2 / 2), so spike weights
+    far below 1e-16 keep their digits; the step is w_j D^2 * Phi(c_j/B).  Points
+    with B < 2 use fixed Gauss-Hermite instead.
     """
     _, b, _ = _two_point_log_odds(prior, s_arr)
     out = np.empty_like(s_arr)
@@ -254,19 +241,27 @@ def _mmse_two_point(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
                            s_arr[small], _TWO_POINT_SMALL_B_NODES)
     big = ~small
     if big.any():
-        out[big] = _rows(functools.partial(_step_remainder, prior), s_arr[big],
-                         _remainder_rule()[0].size)
+        out[big] = _step_remainder(prior, s_arr[big])
     return out
 
 
 def _step_remainder(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
-    """The step plus remainder of :func:`_mmse_two_point`, for points with B >= 2."""
+    """The step plus remainder of :func:`_mmse_two_point`, for points with B >= 2.
+
+    The step is one erfc call for all points; the remainder runs on _rows blocks."""
+    d, b, c = _two_point_log_odds(prior, s_arr)
+    step = np.exp(prior.log_weight_array + math.log(d * d)) \
+        @ (0.5 * _numerics.erfc((c / b) * -math.sqrt(0.5)))       # sum_j w_j D^2 Phi(c_j/B)
+    return step + _rows(functools.partial(_remainder, prior), s_arr, _remainder_rule()[0].size)
+
+
+def _remainder(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
+    """D^2 * sum_j w_j R(c_j, B) on the fixed rule of :func:`_remainder_rule`."""
     d, b, c = _two_point_log_odds(prior, s_arr)
     u, wr = _remainder_rule()
     (x,) = _scratch((s_arr.size, u.size), 1)
     total = np.zeros_like(s_arr)
-    log_step = _numerics.log_ndtr(c / b)
-    for lw_j, c_j, ls_j in zip(prior.log_weight_array + math.log(d * d), c, log_step):
+    for lw_j, c_j in zip(prior.log_weight_array + math.log(d * d), c):
         # lw_j - ((u - c_j)/b)^2 / 2 in place, per atom; halving is exact, so
         # this is the same double as lw_j - 0.5*x*x.
         np.subtract(u, c_j[:, None], out=x)
@@ -274,8 +269,8 @@ def _step_remainder(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
         x *= x
         x *= -0.5
         x += lw_j
-        total += np.exp(lw_j + ls_j) + (np.exp(x, out=x) @ wr) / b
-    return total
+        total += np.exp(x, out=x) @ wr
+    return total / b
 
 
 def _mi_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
@@ -409,9 +404,8 @@ def mmse_curve(prior: DiscretePrior, s_values, *, nodes: int | None = None) -> n
     ladder per chunk of ``_CHUNK`` points to ``QUAD_TOL`` and raise
     :class:`QuadratureError` if it does not converge.  ``nodes`` pins a fixed
     Gauss-Hermite order for any prior, skipping both: it is the brute-force
-    reference the exact path is tested against.  For two atoms the exact path
-    and ``nodes`` are two quadratures of one expectation, the one
-    :func:`_two_point_log_odds` states.
+    reference the exact path is tested against.  It runs the generic kernel
+    for two atoms too, so it shares no formula with the exact path.
     """
     if nodes is None and prior.natoms == 2:
         fn = functools.partial(_mmse_two_point, prior)

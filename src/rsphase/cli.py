@@ -506,6 +506,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
     except (potential.BracketError, channel.QuadratureError, amp.ConvergenceError,
             amp.DivergenceError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

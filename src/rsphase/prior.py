@@ -33,8 +33,12 @@ class DiscretePrior:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(float(a) for a in self.atoms))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        for name in ("atoms", "weights"):
+            try:
+                object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a list of numbers, "
+                                 f"got {getattr(self, name)!r}") from None
         a = np.asarray(self.atoms, dtype=float)
         w = np.asarray(self.weights, dtype=float)
         if a.size == 0 or a.size != w.size:
@@ -147,12 +151,11 @@ def prior_from_spec(spec: dict) -> DiscretePrior:
     if kind == "two_point":
         if "epsilon" not in spec:
             raise ValueError("two_point prior spec requires an 'epsilon' field")
-        return two_point(float(spec["epsilon"]))
+        return two_point(spec["epsilon"])
     if kind == "discrete":
         if "atoms" not in spec or "weights" not in spec:
             raise ValueError("discrete prior spec requires 'atoms' and 'weights' fields")
-        return DiscretePrior(tuple(spec["atoms"]), tuple(spec["weights"]),
-                             label=str(spec.get("label", "")))
+        return DiscretePrior(spec["atoms"], spec["weights"], label=str(spec.get("label", "")))
     raise ValueError(f"unknown prior kind {kind!r}")
 
 

@@ -165,6 +165,15 @@ class TestTwoPointExact:
         assert 1e-13 < value < 1e-10
         assert value == pytest.approx(_closed_form_mmse(eps, s), rel=1e-9)
 
+    # Past the step, where M is 8e-159, 1e-104 and 5e-206: the exact path keeps
+    # its relative digits.  _closed_form_mmse's +-12 window around the step misses
+    # Gaussian mass at small t, so the points stay past the step.
+    @pytest.mark.parametrize("eps, t", [(1e-16, 40.0), (1e-50, 10.0), (1e-100, 10.0)])
+    def test_deep_tail_matches_quad(self, eps, t):
+        s = 2 * two_point_entropy(eps) * t
+        assert mmse_curve(two_point(eps), [s])[0] == pytest.approx(_closed_form_mmse(eps, s),
+                                                                   rel=1e-11)
+
     @pytest.mark.parametrize("prior", [two_point(0.1), two_point(1e-4), two_point(1e-8),
                                        NEGATIVE_SPIKE],
                              ids=["0.1", "1e-4", "1e-8", "negative-spike"])

@@ -354,6 +354,31 @@ class TestRuntimeErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def generate(prior, n, p, sigma2, seed):
+            raise MemoryError(f"cannot allocate a {n}x{p} design matrix")
+
+        monkeypatch.setattr(cli.amp, "generate", generate)
+        rc = main(["amp", "--p", "3000000", "--delta", "1", "--snr", "5", "--epsilon", "0.1",
+                   "--seeds", "1", "--t-max", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: cannot allocate a 3000000x3000000 design matrix\n"
+
+    @pytest.mark.parametrize("prior", [
+        {"kind": "two_point", "epsilon": None},
+        {"kind": "discrete", "atoms": 5, "weights": [1.0]},
+        {"kind": "discrete", "atoms": [[1]], "weights": [1.0]},
+    ], ids=["epsilon-null", "atoms-number", "atoms-nested"])
+    def test_malformed_prior_spec_is_one_line(self, prior, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prior": prior}))
+        rc = main(["channel", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert ("epsilon" if "epsilon" in prior else "atoms") in err
+
     def test_amp_delta_below_one_measurement_rejected(self, tmp_path, capsys):
         # round(0.001 * 100) = 0 measurements; the run must not quietly use n = 1.
         out = tmp_path / "out"

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import erfc, log_ndtr, roots_hermite
+from scipy.special import erfc, roots_hermite
 
 from rsphase import _numerics, channel, potential
 from rsphase.prior import two_point, two_point_entropy
@@ -151,12 +151,6 @@ _PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize
 
 
 @_PROPERTY
-@given(st.lists(st.floats(-1000.0, 40.0), min_size=1, max_size=8))
-def test_log_ndtr_matches_scipy(x):
-    np.testing.assert_allclose(_numerics.log_ndtr(x), log_ndtr(x), rtol=1e-14, atol=1e-15)
-
-
-@_PROPERTY
 @given(st.lists(st.floats(-5.0, 26.0), min_size=1, max_size=8))
 def test_erfc_matches_scipy(x):
     np.testing.assert_allclose(_numerics.erfc(x), erfc(x), rtol=1e-13, atol=0)
@@ -168,4 +162,3 @@ def test_special_functions_never_warn(x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _numerics.erfc(x)
-        _numerics.log_ndtr(x)
