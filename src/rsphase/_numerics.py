@@ -7,12 +7,12 @@ that the committed reference outputs hold:
   ladder's rungs from the table ``_hermite.npz``;
 - :func:`brentq` is scipy's C ``brentq`` (Brent 1973) line for line;
 - :func:`minimize_bounded` is scipy's ``minimize_scalar(method="bounded")``;
-- :func:`quad` is the first pass of QUADPACK's 21-point Gauss-Kronrod rule
-  ``dqk21`` (Piessens et al. 1983), then bisection by |K21 - G10|;
+- :func:`quad` is one pass of QUADPACK's 21-point Gauss-Kronrod rule
+  ``dqk21`` (Piessens et al. 1983) over given panels;
 - :func:`erfc` maps ``math.erfc`` over an array.
 
-The ports keep every arithmetic step, so they return scipy's doubles; quad's
-first pass differs from QUADPACK's in the last bit at most, and erfc differs
+The ports keep every arithmetic step, so they return scipy's doubles; quad
+differs from QUADPACK's first pass in the last bit at most, and erfc differs
 from scipy's at rounding level.  The potential's minimizers sit on a flat F,
 where a small change of I moves them far more than the change itself, which is
 why the ports do not improve on what they port.
@@ -28,8 +28,6 @@ import numpy as np
 
 _BRENTQ_MAXITER = 100          # scipy's defaults
 _MINIMIZE_MAXFUN = 500
-_QUAD_EPS = 1.49e-8            # quad's epsabs and epsrel
-_QUAD_LIMIT = 200              # the package's limit= for quad
 
 _HERMITE_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_hermite.npz")
 
@@ -186,7 +184,7 @@ def _sign(v: float) -> float:
     return -1.0 if v < 0 else 1.0
 
 
-# dqk21's abscissae (the 10-point Gauss nodes at the odd indices) and weights.
+# dqk21's abscissae (the 10-point Gauss nodes at the odd indices) and Kronrod weights.
 _XGK = np.array([
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -199,15 +197,12 @@ _WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390
         0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
         0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
         0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
 
 
-def _qk21(f, a: float, b: float):
-    """QUADPACK's ``dqk21`` on [a, b]: the Kronrod estimate, and |K21 - G10| as its error.
+def _qk21(f, a: float, b: float) -> float:
+    """QUADPACK's ``dqk21`` estimate of the integral of ``f`` over [a, b].
 
-    ``f`` takes all 21 abscissae in one array; the sums run in dqk21's order,
+    ``f`` takes all 21 abscissae in one array; the sum runs in dqk21's order,
     the centre, then the Gauss-node pairs, then the Kronrod-only pairs, so the
     estimate is dqk21's double.
     """
@@ -215,39 +210,20 @@ def _qk21(f, a: float, b: float):
     hlgth = 0.5 * (b - a)
     absc = hlgth * _XGK
     fv = f(np.concatenate(([centr], centr - absc, centr + absc))).tolist()
-    fc, fv1, fv2 = fv[0], fv[1:11], fv[11:]
-    resg = 0.0
-    resk = _WGK[10] * fc
-    for j in (1, 3, 5, 7, 9):
-        fsum = fv1[j] + fv2[j]
-        resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-    for j in (0, 2, 4, 6, 8):
-        resk = resk + _WGK[j] * (fv1[j] + fv2[j])
-    return resk * hlgth, abs((resk - resg) * hlgth)
+    resk = _WGK[10] * fv[0]
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        resk = resk + _WGK[j] * (fv[1 + j] + fv[11 + j])
+    return resk * hlgth
 
 
 def quad(f, edges) -> float:
     """Integral of the vectorized ``f`` over [edges[0], edges[-1]].
 
-    First one dqk21 pass over the panels between consecutive ``edges``, summed
-    in order as QUADPACK's ``dqagpe`` does; it is accepted when the summed
-    |K21 - G10| meets quad's default ``max(1.49e-8, 1.49e-8*|I|)``.  Where quad
-    accepts its own first pass too, the value is ``scipy.integrate.quad``'s with
-    ``points=edges[1:-1]``.  Otherwise the panel with the largest |K21 - G10|
-    is bisected until the total meets the tolerance, or 200 panels are
-    reached; unlike quad, no extrapolation follows.
+    One dqk21 pass per panel between consecutive ``edges``, summed in order as
+    QUADPACK's ``dqagpe`` does: ``scipy.integrate.quad``'s value with
+    ``points=edges[1:-1]`` wherever quad accepts its first pass.
     """
-    panels = [(lo, hi, *_qk21(f, lo, hi)) for lo, hi in zip(edges, edges[1:])]
-    while True:
-        result = sum(p[2] for p in panels)
-        if sum(p[3] for p in panels) <= max(_QUAD_EPS, _QUAD_EPS * abs(result)) \
-                or len(panels) >= _QUAD_LIMIT:
-            return result
-        worst = max(range(len(panels)), key=lambda k: panels[k][3])
-        lo, hi = panels[worst][:2]
-        mid = 0.5 * (lo + hi)
-        panels[worst:worst + 1] = [(lo, mid, *_qk21(f, lo, mid)), (mid, hi, *_qk21(f, mid, hi))]
+    return sum(_qk21(f, lo, hi) for lo, hi in zip(edges, edges[1:]))
 
 
 def erfc(x):

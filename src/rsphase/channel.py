@@ -399,13 +399,13 @@ def mmse(prior: DiscretePrior, s: float) -> float:
 def mmse_curve(prior: DiscretePrior, s_values, *, nodes: int | None = None) -> np.ndarray:
     """Vectorized :func:`mmse` over a grid of s values.
 
-    Two-atom priors go through :func:`_mmse_two_point`, which is exact and
-    evaluates each point on its own.  Priors with more atoms climb the node
-    ladder per chunk of ``_CHUNK`` points to ``QUAD_TOL`` and raise
-    :class:`QuadratureError` if it does not converge.  ``nodes`` pins a fixed
-    Gauss-Hermite order for any prior, skipping both: it is the brute-force
-    reference the exact path is tested against.  It runs the generic kernel
-    for two atoms too, so it shares no formula with the exact path.
+    Two-atom priors go through the exact :func:`_mmse_two_point`, point by
+    point; priors with more atoms climb the node ladder per chunk of ``_CHUNK``
+    points to ``QUAD_TOL`` and raise :class:`QuadratureError` if it does not
+    converge.  ``nodes`` pins a fixed Gauss-Hermite order for any prior, on the
+    generic kernel: the brute-force reference for the exact path, but only
+    where its nodes resolve the step.  At eps 1e-100, 1921 nodes are off by
+    5.4e-7 to 7.0e-6 for t = s/2H from 0.94 to 1.04.
     """
     if nodes is None and prior.natoms == 2:
         fn = functools.partial(_mmse_two_point, prior)
@@ -455,18 +455,20 @@ def mmse_q_approx(epsilon: float, s):
 def mutual_info_q_approx(epsilon: float, s: float) -> float:
     """Mutual information implied by the tail surrogate via I(s) = (1/2) int_0^s M.
 
-    The integral stops at s_end, where the surrogate's argument reaches 10 and
-    M < 1e-23: past it M adds nothing, and on a longer interval the first
-    panels step over the transition at s0 and lose up to 22% of I.  It is
-    QUADPACK's 21-point Gauss-Kronrod rule on the panels [0, s0] and [s0, s],
-    with QUADPACK's stopping rule, absolute and relative error 1.49e-8
-    (:func:`_numerics.quad`).  At every spike weight this path serves,
-    eps < 1e-12, I is far below that absolute error, so the first pass is the
+    Only for the spike weights :func:`approx_epsilon` routes here, 0 < epsilon
+    < ``APPROX_EPSILON``.  The integral stops at s_end <= 5.1e-10, where the
+    surrogate's argument reaches 10 and M < 1e-23; a longer last panel would
+    step over the transition at s0 and lose I.  It is one pass of QUADPACK's
+    21-point Gauss-Kronrod rule on [0, s0] and [s0, s] (:func:`_numerics.quad`),
+    whose summed |K21 - G10| <= 2*s_end is below quad's 1.49e-8, so it is quad's
     value: 7.6e-10 relative to the exact integral at eps 1e-16.  That accuracy
     is kept on purpose.  The committed references were made with it, and F is
     flat at its minimizers, so a more accurate I (4e-14, from integrating by
     parts) moved s_upper_star at eps 1e-16 by 3.4e-8 relative.
     """
+    if not 0.0 < epsilon < APPROX_EPSILON:
+        raise ValueError(f"epsilon must lie in (0, APPROX_EPSILON={APPROX_EPSILON:g}), "
+                         f"got {epsilon!r}")
     if s < 0.0:
         raise ValueError(f"s must be nonnegative, got {s!r}")
     if s == 0.0:
@@ -474,7 +476,7 @@ def mutual_info_q_approx(epsilon: float, s: float) -> float:
     s0 = 2.0 * epsilon * math.log(1.0 / epsilon)
     s_end = (10.0 * math.sqrt(epsilon) + math.sqrt(100.0 * epsilon + s0)) ** 2
     s = min(s, s_end)
-    edges = [0.0, s0, s] if 0.0 < s0 < s else [0.0, s]
+    edges = [0.0, s0, s] if s0 < s else [0.0, s]
     return 0.5 * _numerics.quad(lambda u: mmse_q_approx(epsilon, u), edges)
 
 
@@ -495,8 +497,8 @@ def mmse_eval(prior: DiscretePrior, s: float):
 def mutual_info_eval(prior: DiscretePrior, s: float):
     """I(s) together with the evaluation-mode tag.
 
-    On the surrogate path the scalar value is one adaptive integral of the
-    surrogate, which is tighter than the trapezoid of the curve version.
+    On the surrogate path the scalar value is :func:`mutual_info_q_approx`,
+    which is tighter than the trapezoid of the curve version.
     """
     eps = approx_epsilon(prior)
     if eps is not None:

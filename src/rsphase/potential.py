@@ -50,6 +50,8 @@ def _check_params(delta, snr):
         raise ValueError(f"delta must be positive, got {delta!r}")
     if not snr > 0.0 or not math.isfinite(snr):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
+    if not math.isfinite(delta * snr):
+        raise ValueError(f"delta*snr must be finite, got {delta * snr!r}")
 
 
 def potential(delta: float, snr: float, prior: DiscretePrior, s: float) -> float:

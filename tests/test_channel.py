@@ -286,15 +286,13 @@ class TestQApprox:
         assert sups[-1] <= 0.05
         assert all(a > b for a, b in zip(sups, sups[1:]))
 
-    def test_mutual_info_surrogate_consistent(self):
-        # The surrogate information is the half-integral of the surrogate MMSE.
-        eps = 1e-4
-        s = 5 * 2 * eps * math.log(1 / eps)
-        direct = mutual_info_q_approx(eps, s)
-        integral, _ = quad(lambda u: mmse_q_approx(eps, u), 0.0, s, limit=200)
-        assert direct == pytest.approx(0.5 * integral, rel=1e-8)
+    @pytest.mark.parametrize("eps", [1e-4, channel.APPROX_EPSILON])
+    def test_mutual_info_surrogate_only_below_cutoff(self, eps):
+        # Only spike weights that route to the surrogate take its information.
+        with pytest.raises(ValueError, match="APPROX_EPSILON"):
+            mutual_info_q_approx(eps, 1.0)
 
-    @pytest.mark.parametrize("eps", [1e-4, 1e-13, 1e-16, 1e-50])
+    @pytest.mark.parametrize("eps", [9.999e-13, 1e-13, 1e-16, 1e-50])
     def test_mutual_info_surrogate_far_past_transition(self, eps):
         # Oracle: quad on pieces cut at s0 * 2^k, so no piece holds more than a
         # slice of the transition.  I must match it and never decrease in s.

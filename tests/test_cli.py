@@ -4,12 +4,16 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from rsphase import cli
 from rsphase.cli import SpecError, SweepSpec, main, run
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def read_csv(path):
@@ -336,6 +340,19 @@ class TestRuntimeErrors:
         assert "delta*snr = 5e-300" in err
         assert "1 - M(s) rounds to 0" in err
         assert "quadrature" not in err
+
+    def test_overflowing_delta_snr_is_one_line(self, tmp_path):
+        # A child process, so that the stderr seen is the whole of it, numpy's
+        # warnings included (the test session would turn them into errors);
+        # it must be the one error line, with no warning and no traceback.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get(
+            "PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "rsphase.cli", "potential", "--epsilon",
+                               "0.1", "--delta", "1e300", "--snr", "1e300", "--out",
+                               str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: delta*snr must be finite, got inf\n"
 
     @pytest.mark.parametrize("argv", [
         ["amp", "--p", "0", "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
