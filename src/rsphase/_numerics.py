@@ -3,8 +3,6 @@
 Each reproduces the values of the scipy routine the package was built on, so
 that the committed reference outputs hold:
 
-- :func:`roots_hermite` reads ``scipy.special.roots_hermite(n)`` for the node
-  ladder's rungs from the table ``_hermite.npz``;
 - :func:`brentq` is scipy's C ``brentq`` (Brent 1973) line for line;
 - :func:`minimize_bounded` is scipy's ``minimize_scalar(method="bounded")``;
 - :func:`quad` is one pass of QUADPACK's 21-point Gauss-Kronrod rule
@@ -20,32 +18,12 @@ why the ports do not improve on what they port.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 
 import numpy as np
 
 _BRENTQ_MAXITER = 100          # scipy's defaults
 _MINIMIZE_MAXFUN = 500
-
-_HERMITE_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_hermite.npz")
-
-
-@functools.cache
-def _hermite_table() -> dict:
-    with np.load(_HERMITE_TABLE) as table:
-        return {int(k[1:]): (table[k], table["w" + k[1:]]) for k in table.files
-                if k.startswith("x")}
-
-
-def roots_hermite(n: int):
-    """Physicists' Gauss-Hermite nodes and weights of order ``n``, as scipy's."""
-    table = _hermite_table()
-    if n not in table:
-        raise ValueError(f"no Gauss-Hermite table for n={n}; the rungs are {sorted(table)}")
-    return table[n]
-
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     """Root of ``f`` in the bracket [a, b]: scipy's ``brentq``, step for step.

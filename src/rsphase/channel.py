@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -79,6 +80,8 @@ _PANEL_NODES = 12
 _TWO_POINT_MIN_B = 2.0
 _TWO_POINT_SMALL_B_NODES = 241
 
+_HERMITE_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_hermite.npz")
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to stabilize at the requested tolerance."""
@@ -95,7 +98,10 @@ def _gh(n: int):
     against scipy entry for entry.  numpy's own ``hermgauss`` overflows at the
     top rungs.
     """
-    x, w = _numerics.roots_hermite(n)
+    if n not in NODE_LADDER:
+        raise ValueError(f"no Gauss-Hermite table for n={n}; the rungs are {list(NODE_LADDER)}")
+    with np.load(_HERMITE_TABLE) as table:
+        x, w = table[f"x{n}"], table[f"w{n}"]
     return x * math.sqrt(2.0), w / math.sqrt(math.pi)
 
 
@@ -228,12 +234,12 @@ def _mmse_two_point(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
     With D, B and c_j from :func:`_two_point_log_odds`, M = D^2 * sum_j w_j E(c_j, B)
     where E(A, B) = E_z sigma(A + B z)^2.  E splits into the step Phi(A/B) and a
     remainder R = (1/B) int phi((u - A)/B) rho(u) du whose weight rho decays like
-    exp(-|u|); R runs on the fixed panels of :func:`_remainder_rule`.  Only R is
-    in the log domain, exp(log(w_j D^2) - ((u - c_j)/B)^2 / 2), so spike weights
-    far below 1e-16 keep their digits; the step is w_j D^2 * Phi(c_j/B).  Points
-    with B < 2 use fixed Gauss-Hermite instead.
+    exp(-|u|).  The step w_j D^2 * Phi(c_j/B) is one erfc call; R runs on the
+    fixed panels of :func:`_remainder_rule` in _rows blocks, in the log domain,
+    exp(log(w_j D^2) - ((u - c_j)/B)^2 / 2), so spike weights far below 1e-16
+    keep their digits.  Points with B < 2 use fixed Gauss-Hermite instead.
     """
-    _, b, _ = _two_point_log_odds(prior, s_arr)
+    d, b, c = _two_point_log_odds(prior, s_arr)
     out = np.empty_like(s_arr)
     small = b < _TWO_POINT_MIN_B
     if small.any():     # skip empty calls: the root finders make many size-1 calls
@@ -241,18 +247,11 @@ def _mmse_two_point(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
                            s_arr[small], _TWO_POINT_SMALL_B_NODES)
     big = ~small
     if big.any():
-        out[big] = _step_remainder(prior, s_arr[big])
+        step = np.exp(prior.log_weight_array + math.log(d * d)) \
+            @ (0.5 * _numerics.erfc((c[:, big] / b[big]) * -math.sqrt(0.5)))  # Phi(c_j/B)
+        out[big] = step + _rows(functools.partial(_remainder, prior), s_arr[big],
+                                _remainder_rule()[0].size)
     return out
-
-
-def _step_remainder(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
-    """The step plus remainder of :func:`_mmse_two_point`, for points with B >= 2.
-
-    The step is one erfc call for all points; the remainder runs on _rows blocks."""
-    d, b, c = _two_point_log_odds(prior, s_arr)
-    step = np.exp(prior.log_weight_array + math.log(d * d)) \
-        @ (0.5 * _numerics.erfc((c / b) * -math.sqrt(0.5)))       # sum_j w_j D^2 Phi(c_j/B)
-    return step + _rows(functools.partial(_remainder, prior), s_arr, _remainder_rule()[0].size)
 
 
 def _remainder(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:

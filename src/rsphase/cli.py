@@ -374,7 +374,7 @@ class Subcommand(typing.NamedTuple):
     required: tuple = ()    # SweepSpec fields; "a|b" is satisfied by either
 
 
-_COMMON_FLAGS = (("--out", "out"), ("--seed", "seed"), ("--jobs", "jobs"))
+_COMMON_FLAGS = (("--out", "out"), ("--seed", "seed"))
 
 SUBCOMMANDS = {
     "channel": Subcommand(
@@ -394,7 +394,7 @@ SUBCOMMANDS = {
     "phase": Subcommand(
         _run_phase, "sweep transition checks over (epsilon, snr, r)",
         (("--epsilons", "epsilons"), ("--snrs", "snrs"), ("--rs", "rs"),
-         ("--kinds", "kinds")),
+         ("--kinds", "kinds"), ("--jobs", "jobs")),
         ("epsilons", "snrs", "rs", "kinds")),
     "amp": Subcommand(
         _run_amp, "run AMP on synthetic instances across seeds",

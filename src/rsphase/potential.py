@@ -108,12 +108,20 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
     result the *first* crossing; the residual is continuous but not monotone.
     The scan stops at the first block of ``channel._CHUNK`` points with a
     crossing; blocks converge independently, so this matches a full scan bit
-    for bit.  If M at the lower end rounds to its s = 0 value, the prior's
-    second moment, no crossing can be resolved and a :class:`BracketError`
-    names delta*snr as the cause.
+    for bit.  Below snr ~1.1e-16, 1 + snr rounds to 1 and the interval is the
+    one double delta*snr, which is returned.  If M at the lower end rounds to
+    its s = 0 value, the prior's second moment, no crossing can be resolved and
+    a :class:`BracketError` names delta*snr as the cause.
     """
     _check_params(delta, snr)
     lo, hi = stationary_bracket(delta, snr)
+    if lo == hi:
+        return lo
+
+    def residual(s, m):
+        # s*(M + 1/snr) - delta without its O(delta) terms, which cancel at tiny snr.
+        return s * m - (delta * snr - s) / snr
+
     grid = np.geomspace(lo, hi, SCAN_POINTS)
     # A few ulps of slack: the tail surrogate's M(0) is 1.0, not the rounded moment.
     m_zero = float(prior.weight_array @ prior.atom_array ** 2)
@@ -125,7 +133,7 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
                 f"delta*snr = {delta * snr:g} puts the lower end of the admissible "
                 f"interval at s = {lo:g}, where 1 - M(s) rounds to 0, so the "
                 "stationary point cannot be resolved in double precision")
-        above = np.flatnonzero(block * (m_vals + 1.0 / snr) - delta >= 0.0)
+        above = np.flatnonzero(residual(block, m_vals) >= 0.0)
         if above.size:
             break
     else:
@@ -139,11 +147,8 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
             "endpoint; this cannot happen exactly and signals quadrature "
             "inaccuracy")
 
-    def residual(s):
-        m_val, _ = channel.mmse_eval(prior, s)
-        return s * (m_val + 1.0 / snr) - delta
-
-    root = brentq(residual, grid[k - 1], grid[k], xtol=lo * 1e-14, rtol=1e-12)
+    root = brentq(lambda s: residual(s, channel.mmse_eval(prior, s)[0]), grid[k - 1], grid[k],
+                  xtol=lo * 1e-14, rtol=1e-12)
     return float(root)
 
 

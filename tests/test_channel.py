@@ -417,7 +417,7 @@ class TestRowBlocks:
                                   channel._mi_nodes(prior, s_arr, n))
         if prior.natoms == 2:   # the exact path's remainder rule; B >= 2 on this grid
             assert np.array_equal(mmse_curve(prior, s_arr),
-                                  channel._step_remainder(prior, s_arr))
+                                  channel._mmse_two_point(prior, s_arr))
 
 
 def _in_fresh_thread(fn):

@@ -148,6 +148,13 @@ class TestPhaseCommand:
         assert main(base + ["--rs", "0.3,0.5,2.0,3.0", "--out", str(tmp_path / "b")]) == 0
         assert sizes == [2, 3]
 
+    def test_jobs_is_a_phase_flag(self, tmp_path, capsys):
+        # Only the phase sweep runs cells in parallel; elsewhere --jobs is unknown.
+        with pytest.raises(SystemExit) as exc:
+            main(["channel", "--epsilon", "0.1", "--jobs", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_empty_grid_rejected_without_output(self, tmp_path):
         rc = main(["phase", "--epsilons", "", "--snrs", "5", "--rs", "0.5",
                    "--out", str(tmp_path / "x")])
@@ -270,14 +277,15 @@ FIELD_VALUES = {
     "s_min": ("0.01", 0.01, 0.02), "s_max": ("9", 9.0, 8.0), "s_points": ("7", 7, 5),
     "t_min": ("0.1", 0.1, 0.05), "t_max_grid": ("2.5", 2.5, 4.0), "t_points": ("9", 9, 11),
 }
-COMMON_FLAGS = {"--out": "out", "--seed": "seed", "--jobs": "jobs"}
+COMMON_FLAGS = {"--out": "out", "--seed": "seed"}
 SUBCOMMAND_FLAGS = {
     "channel": {"--epsilon": "epsilon", "--s-min": "s_min", "--s-max": "s_max",
                 "--points": "s_points"},
     "potential": {"--epsilon": "epsilon", "--delta": "delta", "--snr": "snr",
                   "--points": "s_points"},
     "thresholds": {"--epsilon": "epsilon", "--snr": "snr", "--p": "p", "--sigma2": "sigma2"},
-    "phase": {"--epsilons": "epsilons", "--snrs": "snrs", "--rs": "rs", "--kinds": "kinds"},
+    "phase": {"--epsilons": "epsilons", "--snrs": "snrs", "--rs": "rs", "--kinds": "kinds",
+              "--jobs": "jobs"},
     "amp": {"--p": "p", "--delta": "delta", "--snr": "snr", "--epsilon": "epsilon",
             "--seeds": "n_seeds", "--t-max": "t_max"},
     "figure1": {"--epsilons": "epsilons", "--t-min": "t_min", "--t-max": "t_max_grid",

@@ -76,12 +76,15 @@ def test_cli_runs_without_scipy(tmp_path):
 class TestNodeTable:
     @pytest.mark.parametrize("n", channel.NODE_LADDER)
     def test_equals_scipy(self, n):
-        x, w = _numerics.roots_hermite(n)
+        x, w = channel._gh(n)
         x_ref, w_ref = roots_hermite(n)
-        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        assert np.array_equal(x, x_ref * math.sqrt(2.0))
+        assert np.array_equal(w, w_ref / math.sqrt(math.pi))
 
     def test_holds_the_ladder(self):
-        assert tuple(sorted(_numerics._hermite_table())) == channel.NODE_LADDER
+        with np.load(channel._HERMITE_TABLE) as table:
+            keys = set(table.files)
+        assert keys == {f"{c}{n}" for n in channel.NODE_LADDER for c in "xw"}
 
     def test_other_orders_raise(self):
         with pytest.raises(ValueError, match="rungs"):

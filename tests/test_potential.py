@@ -175,10 +175,10 @@ class TestSmallestStationary:
         lo, hi = stationary_bracket(delta, snr)
         grid = np.geomspace(lo, hi, SCAN_POINTS)
         m_vals, _ = channel.mmse_eval_curve(prior, grid)
-        k = int(np.flatnonzero(grid * (m_vals + 1.0 / snr) - delta >= 0.0)[0])
+        k = int(np.flatnonzero(grid * m_vals - (delta * snr - grid) / snr >= 0.0)[0])
 
         def residual(s):
-            return s * (channel.mmse_eval(prior, s)[0] + 1.0 / snr) - delta
+            return s * channel.mmse_eval(prior, s)[0] - (delta * snr - s) / snr
 
         root = brentq(residual, grid[k - 1], grid[k], xtol=lo * 1e-14, rtol=1e-12)
         assert smallest_stationary(delta, snr, prior) == root

@@ -147,6 +147,14 @@ class TestTransitionCheck:
         val2 = transition_check(1e-16, 5.0, 2.0, "mmse")
         assert val2 <= 1e-3
 
+    @pytest.mark.parametrize("snr", [1e-17, 1e-16, 1.2e-16, 2e-16, 3e-16, 5e-16, 1e-15])
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 1e-4])
+    def test_tiny_snr_kinds_agree(self, eps, snr):
+        # As snr -> 0 the admissible interval [delta*snr/(1+snr), delta*snr]
+        # shrinks onto s = 2rH for both kinds, so both read the same M.
+        assert transition_check(eps, snr, 2.0, "amp") == pytest.approx(
+            transition_check(eps, snr, 2.0, "mmse"), rel=1e-8)
+
 
 class TestReport:
     def test_direct_snr(self):
