@@ -10,6 +10,7 @@ tests exploit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -112,7 +113,16 @@ def se_sequence(prior: DiscretePrior, delta: float, snr: float, t_max: int) -> n
     Cold start s_0 = delta*snr/(1+snr), i.e. initial MSE equal to the unit
     prior variance; then s_{t+1} = delta / (1/snr + M(s_t)).
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max!r}")
     return _se_run(prior, delta, snr, t_max)[0]
+
+
+@functools.lru_cache(maxsize=32)
+def _se_reference(prior, delta, snr, t_max):
+    """``t_max`` SE steps as ``(se_snr, se_mse)``; shorter runs are prefixes (callers copy)."""
+    s, m = _se_run(prior, delta, snr, t_max)
+    return s, np.concatenate([[1.0], m])
 
 
 def state_evolution(prior: DiscretePrior, delta: float, snr: float,
@@ -174,12 +184,14 @@ def run_amp(instance: RegressionInstance, prior: DiscretePrior,
             t_max: int = AMP_T_MAX, *, onsager: bool = True) -> AmpTrace:
     """Run MMSE-AMP on an instance and record empirical and predicted MSE.
 
-    The design matrix is rescaled internally by 1/sqrt(n) so column norms are
-    O(1); the (delta, snr) parameterization is invariant under this.  The
-    effective noise level is estimated from the residual power each iteration
-    so the algorithm remains a genuine estimator; state evolution is computed
-    alongside purely as the reference prediction.  The iteration is
-    deterministic given the instance, whose seed is echoed into the trace.
+    The iteration is that of the design scaled by 1/sqrt(n), so column norms
+    are O(1); the (delta, snr) parameterization is invariant under this.  The
+    scale is folded into the vectors, so no copy of ``instance.x`` is made.
+    The effective noise level is estimated from the residual power each
+    iteration so the algorithm remains a genuine estimator.  State evolution,
+    computed once per (prior, delta, snr, t_max) and shared across runs, is
+    purely the reference prediction.  The iteration is deterministic given
+    the instance, whose seed is echoed into the trace.
 
     Estimation with a prior different from the one that generated the instance
     is allowed and flagged in the trace.  Raises :class:`DivergenceError` when
@@ -189,33 +201,31 @@ def run_amp(instance: RegressionInstance, prior: DiscretePrior,
         raise ValueError(f"t_max must be >= 1, got {t_max!r}")
     n, p = instance.x.shape
     delta = instance.delta
-    a_mat = instance.x / math.sqrt(n)
-    y = instance.y / math.sqrt(n)
-    beta = instance.beta
+    x, y, beta = instance.x, instance.y, instance.beta
 
     x_hat = np.zeros(p)
-    z = y.copy()                       # zero estimate, so no memory term yet
+    z = y                    # sqrt(n) scale; zero estimate, so no memory term yet
     mse = [float(np.mean((beta - x_hat) ** 2))]
-    residual_var = [float(np.mean(z ** 2))]
+    residual_var = [float(np.mean(z ** 2)) / n]
 
     converged = False
     stall = 0
     blowup = 0
     t_done = 0
     for t in range(t_max):
-        tau2 = float(np.mean(z ** 2))
-        r_vec = x_hat + a_mat.T @ z
+        tau2 = residual_var[-1]
+        r_vec = x_hat + (x.T @ z) / n
         x_new, v_new = channel.denoise(prior, r_vec, tau2)
         if onsager:
             # Mean denoiser derivative: d/dr posterior mean = posterior var / tau2.
             correction = (1.0 / delta) * float(np.mean(v_new)) / tau2
-            z = y - a_mat @ x_new + correction * z
+            z = y - x @ x_new + correction * z
         else:
-            z = y - a_mat @ x_new
+            z = y - x @ x_new
         x_hat = x_new
         t_done = t + 1
         mse.append(float(np.mean((beta - x_hat) ** 2)))
-        residual_var.append(float(np.mean(z ** 2)))
+        residual_var.append(float(np.mean(z ** 2)) / n)
 
         if mse[-1] > DIVERGENCE_FACTOR * mse[0]:
             blowup += 1
@@ -236,8 +246,8 @@ def run_amp(instance: RegressionInstance, prior: DiscretePrior,
 
     snr = instance.snr
     if math.isfinite(snr):
-        se_snr, m = _se_run(prior, delta, snr, t_done)
-        se_mse = np.concatenate([[1.0], m])
+        se_snr, se_mse = (a[:t_done + 1].copy()
+                          for a in _se_reference(prior, delta, snr, t_max))
     else:
         se_snr = np.full(t_done + 1, np.nan)
         se_mse = np.full(t_done + 1, np.nan)

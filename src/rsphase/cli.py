@@ -103,7 +103,7 @@ class SweepSpec:
                 if k not in ("mmse", "amp"):
                     raise SpecError(f"kinds: {k!r} is not 'mmse' or 'amp'")
         if self.mode == "amp":
-            for name in ("p", "delta", "snr", "n_seeds"):
+            for name in ("p", "delta", "snr", "n_seeds", "t_max"):
                 value = getattr(self, name)
                 if not 0 < value < math.inf:
                     raise SpecError(f"{name}: amp mode requires a positive finite value, "
@@ -226,8 +226,8 @@ def _run_amp(spec: SweepSpec) -> list:
     finals = []
     for k in range(spec.n_seeds):
         seed = spec.seed + k
-        inst = amp.generate(prior, n, p, sigma2, seed)
-        trace = amp.run_amp(inst, prior, t_max=spec.t_max)
+        # No name holds the instance, so it is freed before the next matrix is drawn.
+        trace = amp.run_amp(amp.generate(prior, n, p, sigma2, seed), prior, t_max=spec.t_max)
         for t in range(trace.iterations + 1):
             rows.append([str(seed), str(t), _fmt(trace.mse[t]),
                          _fmt(trace.se_mse[t]), _fmt(trace.residual_var[t])])

@@ -1,11 +1,12 @@
 """Instance generation, state evolution, the AMP loop, and Monte Carlo MMSE."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rsphase import amp, channel
+from rsphase import amp, channel, cli
 from rsphase.amp import (
     ConvergenceError,
     DivergenceError,
@@ -94,6 +95,10 @@ class TestStateEvolution:
         seq = se_sequence(two_point(0.1), 0.5, 5.0, 10)
         assert len(seq) == 11
         assert np.all(np.diff(seq) >= -1e-12)
+
+    def test_se_sequence_rejects_negative_t_max(self):
+        with pytest.raises(ValueError, match="-3"):
+            se_sequence(two_point(0.1), 0.5, 5.0, -3)
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +200,51 @@ class TestRunAmp:
         inst = generate(two_point(0.5), 20, 30, 1.0, seed=0)
         with pytest.raises(ValueError):
             run_amp(inst, two_point(0.5), t_max=0)
+
+
+class TestSeReference:
+    def test_cached_reference_is_the_uncached_se_prefix(self):
+        # The first run fills the cache, the others slice it; every trace must
+        # equal a fresh SE run of its own length, even after an earlier trace
+        # was overwritten.
+        prior = two_point(0.1)
+        amp._se_reference.cache_clear()
+        lengths = set()
+        for seed in range(4):
+            inst = generate(prior, 172, 200, 20.0, seed=seed)
+            tr = run_amp(inst, prior, t_max=30)
+            s, m = amp._se_run(prior, inst.delta, inst.snr, tr.iterations)
+            assert np.array_equal(tr.se_snr, s)
+            assert np.array_equal(tr.se_mse, np.concatenate([[1.0], m]))
+            lengths.add(tr.iterations)
+            tr.se_snr[:] = tr.se_mse[:] = np.nan
+        info = amp._se_reference.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert len(lengths) > 1
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes traced while it ran; tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_run_amp_makes_no_copy_of_the_design(self):
+        prior = two_point(0.1)
+        inst = generate(prior, 500, 1000, 100.0, seed=0)
+        _, peak = _traced_peak(lambda: run_amp(inst, prior, t_max=30))
+        assert peak < inst.x.nbytes
+
+    def test_cli_holds_one_design_at_a_time(self, tmp_path):
+        argv = ["amp", "--p", "1000", "--delta", "0.5", "--snr", "10", "--epsilon", "0.1",
+                "--seeds", "3", "--t-max", "30", "--out", str(tmp_path)]
+        rc, peak = _traced_peak(lambda: cli.main(argv))
+        assert rc == 0
+        assert peak < 1.5 * 500 * 1000 * 8
 
 
 class TestMcMmse:

@@ -182,6 +182,17 @@ class TestAmpCommand:
         rc = main(["amp", "--p", "300", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_in_process_rerun_is_byte_identical(self, tmp_path):
+        # The second run takes its state-evolution reference from the cache
+        # the first one filled.
+        args = ["amp", "--p", "200", "--delta", "0.86", "--snr", "10", "--epsilon", "0.1",
+                "--seeds", "2", "--t-max", "20"]
+        cli.amp._se_reference.cache_clear()
+        for out in ("a", "b"):
+            assert main(args + ["--out", str(tmp_path / out)]) == 0
+        for name in ("amp.csv", "amp_summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 class TestFigureCommands:
     def test_figure1(self, tmp_path):
@@ -369,8 +380,10 @@ class TestRuntimeErrors:
          "--seeds", "1", "--t-max", "5"],
         ["amp", "--p", "100", "--delta", "-1", "--snr", "5", "--epsilon", "0.1",
          "--seeds", "1", "--t-max", "5"],
+        ["amp", "--p", "100", "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
+         "--seeds", "1", "--t-max", "0"],
         ["thresholds", "--epsilon", "0.1", "--p", "100", "--sigma2", "0"],
-    ], ids=["amp-p0", "amp-snr0", "amp-negative-delta", "thresholds-sigma2-0"])
+    ], ids=["amp-p0", "amp-snr0", "amp-negative-delta", "amp-t-max-0", "thresholds-sigma2-0"])
     def test_bad_input_is_one_line_and_writes_nothing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(argv + ["--out", str(out)])
@@ -434,6 +447,13 @@ class TestSpecValidation:
             SweepSpec(mode="phase", epsilons=[2.0], snrs=[1.0], rs=[1.5]).validate()
         with pytest.raises(SpecError):
             SweepSpec(mode="amp", p=100).validate()
+
+    def test_amp_t_max_checked_up_front(self, monkeypatch):
+        # Rejected by validate, before smallest_stationary runs.
+        monkeypatch.setattr(cli.potential, "smallest_stationary", None)
+        with pytest.raises(SpecError, match="^t_max: "):
+            run(SweepSpec(mode="amp", p=100, delta=0.5, snr=5.0, n_seeds=1, epsilon=0.1,
+                          t_max=0))
 
     @pytest.mark.parametrize("field,value", [
         ("s_min", math.nan), ("s_max", math.inf), ("t_min", -math.inf),
