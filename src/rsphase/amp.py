@@ -74,8 +74,8 @@ def generate(prior: DiscretePrior, n: int, p: int, sigma2: float,
     """Draw an instance with X_ij ~ N(0,1), beta_j ~ prior, w_i ~ N(0, sigma2)."""
     if n < 1 or p < 1:
         raise ValueError(f"n and p must be >= 1, got n={n!r}, p={p!r}")
-    if sigma2 < 0.0:
-        raise ValueError(f"noise variance must be nonnegative, got {sigma2!r}")
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(f"noise variance sigma2 must be finite and nonnegative, got {sigma2!r}")
     rng = np.random.default_rng(seed)
     try:
         x = rng.standard_normal((n, p))

@@ -501,7 +501,7 @@ def mutual_info_eval(prior: DiscretePrior, s: float):
     """
     eps = approx_epsilon(prior)
     if eps is not None:
-        return mutual_info_q_approx(eps, s), MODE_APPROX
+        return mutual_info_q_approx(eps, float(_snr_grid(s))), MODE_APPROX
     i_vals, mode = mutual_info_eval_curve(prior, [s])
     return float(i_vals[0]), mode
 
@@ -530,7 +530,7 @@ def mutual_info_eval_curve(prior: DiscretePrior, s_values, *, tol: float | None 
         # 1/13 of the width already errs by ~1% of H.  A step wider than s0
         # swallows the transition, and I comes out as s/4 up to one step, then
         # flat at step/4, instead of H.
-        s_hi = float(s_arr.max())
+        s_hi = float(s_arr.max(initial=0.0))
         if s_hi == 0.0:
             return np.zeros_like(s_arr), MODE_APPROX
         base = np.linspace(0.0, s_hi, 8192)

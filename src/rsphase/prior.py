@@ -88,6 +88,9 @@ def two_point(epsilon: float) -> DiscretePrior:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     mu1 = -math.sqrt(epsilon / (1.0 - epsilon))
     mu2 = math.sqrt((1.0 - epsilon) / epsilon)
+    if mu2 == math.inf:
+        raise ValueError(f"epsilon must be at least about 5.6e-309, below which the spike atom "
+                         f"sqrt((1-eps)/eps) overflows; got {epsilon!r}")
     return DiscretePrior((mu1, mu2), (1.0 - epsilon, epsilon), label=f"two_point({epsilon:g})")
 
 

@@ -20,8 +20,8 @@ KIND_AMP = "amp"
 
 
 def _check_h_snr(h, snr):
-    if not h > 0.0:
-        raise ValueError(f"entropy must be positive, got {h!r}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"entropy h must be positive and finite, got {h!r}")
     if not snr > 0.0 or not math.isfinite(snr):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
 
@@ -55,10 +55,10 @@ def sparse_thresholds(k: float, p: float, sigma2: float):
     ``k`` is the expected support size eps*p.  Returns the pair
     ``(2(k/p)ln(p/k)/ln(1+k/sigma2), 2(k+sigma2)ln(p/k)/p)``.
     """
-    if not 0.0 < k < p:
-        raise ValueError(f"need 0 < k < p, got k={k!r}, p={p!r}")
-    if not sigma2 > 0.0:
-        raise ValueError(f"noise variance must be positive, got {sigma2!r}")
+    if not 0.0 < k < p < math.inf:
+        raise ValueError(f"need 0 < k < p with p finite, got k={k!r}, p={p!r}")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"noise variance sigma2 must be positive and finite, got {sigma2!r}")
     log_ratio = math.log(p / k)
     d_mmse = 2.0 * (k / p) * log_ratio / math.log1p(k / sigma2)
     d_amp = 2.0 * (k + sigma2) * log_ratio / p

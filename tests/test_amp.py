@@ -56,6 +56,9 @@ class TestGenerate:
             generate(two_point(0.5), 0, 10, 1.0, seed=0)
         with pytest.raises(ValueError):
             generate(two_point(0.5), 10, 10, -1.0, seed=0)
+        for sigma2 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma2"):
+                generate(two_point(0.1), 10, 20, sigma2, seed=0)
 
 
 class TestStateEvolution:

@@ -31,7 +31,7 @@ from rsphase.channel import (
     mutual_info_eval,
     mutual_info_q_approx,
 )
-from rsphase.potential import normalized_smallest_stationary
+from rsphase.potential import normalized_curve, normalized_smallest_stationary, potential
 from rsphase.prior import DiscretePrior, entropy, two_point, two_point_entropy
 from rsphase.thresholds import l_constant
 
@@ -349,6 +349,19 @@ class TestEvalModes:
             channel_curve(two_point(0.2), [])
         with pytest.raises(ValueError):
             channel_curve(two_point(0.2), [1.0, 0.5])
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-16], ids=["quadrature", "surrogate"])
+    def test_both_routes_check_s_alike(self, eps):
+        prior = two_point(eps)
+        for s in (math.nan, math.inf, -1.0):
+            for fn in (mmse_eval, mutual_info_eval):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    fn(prior, s)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            potential(1.0, 5.0, prior, math.inf)
+        for fn in (channel.mmse_eval_curve, channel.mutual_info_eval_curve):
+            assert fn(prior, [])[0].shape == (0,)
+        assert normalized_curve(eps, 0.5, 5.0, []).shape == (0,)
 
 
 class TestScalarWrappers:

@@ -1,16 +1,13 @@
 """The numpy-only numerical routines against the scipy routines they replace.
 
-scipy is the oracle here and nowhere in the package: the CLI must run with
-scipy unimportable, the node table and the root/minimizer ports must return
-scipy's doubles, the Gauss-Kronrod integral must match quad's first pass, and
-the special functions must agree with scipy's to rounding level.
+scipy is the oracle here and nowhere in the package: the node table and the
+root/minimizer ports must return scipy's doubles, the Gauss-Kronrod integral
+must match quad's first pass, and the special functions must agree with
+scipy's to rounding level.  The check that the package runs with scipy
+unimportable lives in test_cli.py, which needs no scipy itself.
 """
 
-import json
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -24,53 +21,6 @@ from scipy.special import erfc, roots_hermite
 from rsphase import _numerics, channel, potential
 from rsphase.prior import two_point, two_point_entropy
 from rsphase.thresholds import delta_amp, delta_mmse
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-_TERNARY = {"kind": "discrete", "atoms": [-math.sqrt(10.0), 0.0, math.sqrt(10.0)],
-            "weights": [0.05, 0.9, 0.05]}
-
-# Every subcommand on a small input, at a quadrature and a surrogate spike weight
-# where it takes one; the child blocks scipy before importing the package.
-_NO_SCIPY = """
-import json, os, sys
-sys.modules["scipy"] = None
-from rsphase import cli
-from rsphase.prior import two_point_entropy
-from rsphase.thresholds import delta_mmse
-out, ternary = sys.argv[1], json.loads(sys.argv[2])
-with open(os.path.join(out, "ternary.json"), "w") as fh:
-    json.dump({"prior": ternary}, fh)
-calls = [
-    ["phase", "--epsilons", "1e-4,1e-16", "--snrs", "5", "--rs", "0.9,1.1",
-     "--kinds", "mmse,amp"],
-    ["channel", "--config", os.path.join(out, "ternary.json"), "--points", "20"],
-    ["figure1", "--epsilons", "1e-4,1e-16", "--points", "20"],
-    ["figure2", "--epsilon", "1e-16", "--snr", "5", "--rs", "0.5,2", "--points", "20"],
-    ["amp", "--p", "200", "--delta", "0.86", "--snr", "10", "--epsilon", "0.1",
-     "--seeds", "1", "--t-max", "20"],
-    ["selftest"],
-]
-for eps in (1e-16, 1e-4):
-    delta = 1.1 * delta_mmse(two_point_entropy(eps), 5.0)
-    calls.append(["potential", "--epsilon", repr(eps), "--delta", repr(delta), "--snr", "5",
-                  "--points", "20"])
-    calls.append(["thresholds", "--epsilon", repr(eps), "--snr", "5"])
-codes = [cli.main(argv + ["--out", os.path.join(out, str(k))]) for k, argv in enumerate(calls)]
-print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None)}))
-"""
-
-
-def test_cli_runs_without_scipy(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get(
-        "PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path), json.dumps(_TERNARY)],
-                          env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0] * len(result["codes"])
-    assert result["scipy"] == []
 
 
 class TestNodeTable:

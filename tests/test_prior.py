@@ -58,6 +58,13 @@ class TestTwoPoint:
         with pytest.raises(ValueError):
             two_point(eps)
 
+    def test_spike_atom_overflow_names_epsilon(self):
+        # Below about 5.6e-309, (1 - eps)/eps overflows to inf.
+        assert math.isfinite(two_point(6e-309).atoms[1])
+        for eps in (5e-309, 1e-320):
+            with pytest.raises(ValueError, match=r"^epsilon must be at least about 5\.6e-309"):
+                two_point(eps)
+
 
 class TestDiscretePriorValidation:
     def test_rejects_nonstandardized(self):

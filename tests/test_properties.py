@@ -1,0 +1,120 @@
+"""Properties of M and I over random priors, checked with numpy alone.
+
+The domain is fixed: standardized priors of 3-7 atoms drawn in [-4, 4] with
+every weight at least 1e-3, two-point priors with eps = 10**u for u in
+[-100, log10 0.5], and the grid s = geomspace(1e-3, 50, 64).  Two-point spike
+weights are split at ``channel.APPROX_EPSILON`` into the quadrature route and
+the tail-surrogate route; together they cover the whole range.  Examples are
+derandomized and no example database is kept, so every run checks the same
+cases.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import Phase, assume, example, given, settings
+from hypothesis import strategies as st
+
+from rsphase import channel
+from rsphase.amp import mc_mmse
+from rsphase.prior import DiscretePrior, entropy, two_point
+
+S = np.geomspace(1e-3, 50.0, 64)
+MIN_WEIGHT = 1e-3
+_LOG_CUTOFF = math.log10(channel.APPROX_EPSILON)
+
+_PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def discrete_priors(draw):
+    k = draw(st.integers(3, 7))
+    atoms = np.sort(draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k, unique=True)))
+    raw = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    assume(raw.sum() > 0.0)
+    # Every weight vector with all weights >= MIN_WEIGHT is reachable this way.
+    weights = MIN_WEIGHT + (1.0 - k * MIN_WEIGHT) * raw / raw.sum()
+    mean = weights @ atoms
+    std = math.sqrt(weights @ (atoms - mean) ** 2)
+    assume(std > 0.0)
+    standardized = (atoms - mean) / std
+    # Atoms a few ulps apart can round onto each other once rescaled.
+    assume(np.all(np.diff(standardized) > 0.0))
+    return DiscretePrior(tuple(standardized), tuple(weights))
+
+
+def _epsilons(lo, hi, **kw):
+    return st.floats(lo, hi, **kw).map(lambda u: 10.0 ** u)
+
+
+QUADRATURE_EPS = _epsilons(_LOG_CUTOFF, math.log10(0.5))
+SURROGATE_EPS = _epsilons(-100.0, _LOG_CUTOFF, exclude_max=True)
+QUADRATURE_PRIORS = st.one_of(discrete_priors(), QUADRATURE_EPS.map(two_point))
+
+
+def _check_mmse(m, slack):
+    assert np.all(m >= 0.0)
+    assert np.all(m <= 1.0 / (1.0 + S) + channel.QUAD_TOL)
+    assert np.all(np.diff(m) <= slack)
+
+
+@_PROPERTY
+@given(discrete_priors())
+def test_mmse_bounded_and_nonincreasing_many_atoms(prior):
+    _check_mmse(channel.mmse_curve(prior, S), 2.0 * channel.QUAD_TOL)
+
+
+@_PROPERTY
+@given(st.one_of(QUADRATURE_EPS, SURROGATE_EPS))
+def test_mmse_bounded_and_nonincreasing_two_point(eps):
+    prior = two_point(eps)
+    # The exact path at every eps, then what the other layers read: the
+    # surrogate below APPROX_EPSILON.
+    _check_mmse(channel.mmse_curve(prior, S), 1e-12)
+    _check_mmse(channel.mmse_eval_curve(prior, S)[0], 1e-12)
+
+
+@_PROPERTY
+@given(QUADRATURE_PRIORS)
+def test_information_bounded_and_nondecreasing_on_quadrature_route(prior):
+    i_vals, mode = channel.mutual_info_eval_curve(prior, S)
+    slack = 2.0 * channel._mi_tol(prior)
+    assert mode == channel.MODE_QUADRATURE
+    assert np.all(i_vals >= 0.0)
+    assert np.all(i_vals <= np.minimum(S / 2.0, entropy(prior)) + slack)
+    assert np.all(np.diff(i_vals) >= -slack)
+
+
+# A known failure fails on its pinned example before any generation, so no
+# hypothesis version can turn it into an unexpected pass.
+_KNOWN_FAILURE = settings(_PROPERTY, phases=[Phase.explicit, Phase.generate])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the surrogate route's trapezoid of M on 8192 even steps of [0, max s] swallows "
+    "the transition at s0 = 2 eps ln(1/eps) and puts I far above H (the benchmark's "
+    "channel-1e-16 writes I up to 1.5e-3 against H = 3.8e-15); see the CHANGES.md "
+    "FOUND line on mutual_info_eval_curve and ROADMAP item 2, exact two-point I"))
+@_KNOWN_FAILURE
+@given(SURROGATE_EPS)
+@example(1e-16)
+def test_information_below_entropy_on_surrogate_route(eps):
+    prior = two_point(eps)
+    i_vals, mode = channel.mutual_info_eval_curve(prior, S)
+    assert mode == channel.MODE_APPROX
+    assert np.all(i_vals <= np.minimum(S / 2.0, entropy(prior)) + 2.0 * channel._mi_tol(prior))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "mc_mmse's sample standard error is no error bar when M rests on a few rare "
+    "draws: at the pinned prior and s = 0.3435, M = 1.2637e-4 (1921 Gauss-Hermite "
+    "nodes agree to 2e-13), but 20000 samples give 3.0e-6 +- 3.0e-6, 41 SE off; "
+    "see the CHANGES.md FOUND line on amp.mc_mmse"))
+@_KNOWN_FAILURE
+@given(discrete_priors(), st.sampled_from(S))
+@example(DiscretePrior((-28.26729686634068, -14.112416112038886, 0.04246464226290699),
+                       (0.001, 0.001, 0.998)), 0.34352003064269393)
+def test_mmse_within_four_standard_errors_of_monte_carlo(prior, s):
+    est, se = mc_mmse(prior, s, 20000, seed=0)
+    assert abs(channel.mmse(prior, s) - est) <= 4.0 * se

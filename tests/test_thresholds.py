@@ -55,11 +55,11 @@ class TestThresholdFormulas:
         assert r_amp(1e6) > 10.0
 
     def test_domain_errors(self):
-        for bad in ((0.0, 1.0), (-1.0, 1.0), (0.5, 0.0), (0.5, -2.0)):
-            with pytest.raises(ValueError):
-                delta_mmse(*bad)
-            with pytest.raises(ValueError):
-                delta_amp(*bad)
+        for h, snr, name in ((0.0, 1.0, "entropy h"), (-1.0, 1.0, "entropy h"),
+                             (math.inf, 5.0, "entropy h"), (0.5, 0.0, "snr"), (0.5, -2.0, "snr")):
+            for fn in (delta_mmse, delta_amp):
+                with pytest.raises(ValueError, match=name):
+                    fn(h, snr)
 
 
 class TestSparseThresholds:
@@ -95,6 +95,10 @@ class TestSparseThresholds:
             sparse_thresholds(10.0, 10.0, 1.0)
         with pytest.raises(ValueError):
             sparse_thresholds(1.0, 10.0, 0.0)
+        with pytest.raises(ValueError, match="p finite"):
+            sparse_thresholds(1.0, math.inf, 1.0)
+        with pytest.raises(ValueError, match="sigma2"):
+            sparse_thresholds(1.0, 10.0, math.inf)
 
 
 class TestLConstant:
