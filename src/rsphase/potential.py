@@ -63,8 +63,13 @@ def potential(delta: float, snr: float, prior: DiscretePrior, s: float) -> float
     return i_val + 0.5 * delta * _logdiv(s / (delta * snr))
 
 
+def _residual(delta, snr, s, m):
+    """2s*F'(s) = s*(m + 1/snr) - delta at m = M(s), free of O(delta) cancellation."""
+    return s * m - (delta * snr - s) / snr
+
+
 def potential_deriv(delta: float, snr: float, prior: DiscretePrior, s):
-    """Exact derivative F'(s) = (M(s) + 1/snr - delta/s) / 2.
+    """Exact derivative F'(s): the stationary residual s*(M(s) + 1/snr) - delta over 2s.
 
     Exactness follows from I'(s) = M(s)/2 on the scalar channel, so this
     avoids differencing quadrature output.  Vectorized over ``s``: a float in
@@ -75,7 +80,7 @@ def potential_deriv(delta: float, snr: float, prior: DiscretePrior, s):
     if not np.all(s_arr > 0.0):
         raise ValueError(f"s must be positive, got {s!r}")
     m_vals, _ = channel.mmse_eval_curve(prior, np.atleast_1d(s_arr))
-    out = 0.5 * (m_vals + 1.0 / snr - delta / s_arr)
+    out = _residual(delta, snr, s_arr, m_vals) / (2.0 * s_arr)
     return float(out[0]) if s_arr.ndim == 0 else out
 
 
@@ -118,10 +123,6 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
     if lo == hi:
         return lo
 
-    def residual(s, m):
-        # s*(M + 1/snr) - delta without its O(delta) terms, which cancel at tiny snr.
-        return s * m - (delta * snr - s) / snr
-
     grid = np.geomspace(lo, hi, SCAN_POINTS)
     # A few ulps of slack: the tail surrogate's M(0) is 1.0, not the rounded moment.
     m_zero = float(prior.weight_array @ prior.atom_array ** 2)
@@ -133,7 +134,7 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
                 f"delta*snr = {delta * snr:g} puts the lower end of the admissible "
                 f"interval at s = {lo:g}, where 1 - M(s) rounds to 0, so the "
                 "stationary point cannot be resolved in double precision")
-        above = np.flatnonzero(residual(block, m_vals) >= 0.0)
+        above = np.flatnonzero(_residual(delta, snr, block, m_vals) >= 0.0)
         if above.size:
             break
     else:
@@ -147,8 +148,8 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
             "endpoint; this cannot happen exactly and signals quadrature "
             "inaccuracy")
 
-    root = brentq(lambda s: residual(s, channel.mmse_eval(prior, s)[0]), grid[k - 1], grid[k],
-                  xtol=lo * 1e-14, rtol=1e-12)
+    root = brentq(lambda s: _residual(delta, snr, s, channel.mmse_eval(prior, s)[0]),
+                  grid[k - 1], grid[k], xtol=lo * 1e-14, rtol=1e-12)
     return float(root)
 
 
@@ -160,9 +161,11 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
     minimizer, so the result is limited by I's quadrature error, not by that
     tolerance: at eps 1e-4 (delta 1.1 times the information threshold, snr 5)
     ``s_lower_star`` sits 4.1e-5 relative from the root of F'.
-    Minimizers whose value ties the minimum within ``EQUAL_MIN_TOL * (1+|F*|)``
-    are reported jointly; exact ties are measure zero, so the tolerance is
-    what exposes the coexistence regime near a first-order transition.
+    Minimizers within ``EQUAL_MIN_TOL * (1+|F*|)`` of the minimum tie, the
+    extreme ones are reported, and ``multi_minima`` only when they lie more
+    than 1e-6*delta*snr apart, so two refinements of one basin count once.
+    Exact ties are measure zero; the tolerance exposes the coexistence regime
+    near a first-order transition.
     """
     _check_params(delta, snr)
     lo, hi = stationary_bracket(delta, snr)
@@ -190,20 +193,11 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
         refined.append(minimize_bounded(objective, a, b, xatol=REFINE_RTOL * s_grid[i]))
 
     refined.sort()
-    merged = [refined[0]]
-    for s_val, f_val in refined[1:]:
-        if s_val - merged[-1][0] <= 1e-8 * s_val:
-            if f_val < merged[-1][1]:
-                merged[-1] = (s_val, f_val)
-        else:
-            merged.append((s_val, f_val))
-
-    f_star = min(f for _, f in merged)
+    f_star = min(f for _, f in refined)
     level = f_star + EQUAL_MIN_TOL * (1.0 + abs(f_star))
-    winners = [s for s, f in merged if f <= level]
-    s_lower, s_upper = min(winners), max(winners)
-    f_at = dict(merged)
-    s_best = s_lower if f_at[s_lower] <= f_at[s_upper] else s_upper
+    winners = [(s, f) for s, f in refined if f <= level]
+    (s_lower, f_lower), (s_upper, f_upper) = winners[0], winners[-1]
+    s_best = s_lower if f_lower <= f_upper else s_upper
     multi = (s_upper - s_lower) > 1e-6 * delta * snr
     return PotentialLandscape(delta, snr, prior, f_star, s_lower, s_upper,
                               (lo, hi), multi, s_best)

@@ -115,10 +115,10 @@ def standardize_bernoulli(epsilon: float, p: int, sigma2: float):
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if p < 1:
-        raise ValueError(f"dimension p must be >= 1, got {p!r}")
-    if sigma2 <= 0.0:
-        raise ValueError(f"noise variance must be positive, got {sigma2!r}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"dimension p must be >= 1 and finite, got {p!r}")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"noise variance sigma2 must be positive and finite, got {sigma2!r}")
     snr = p * epsilon * (1.0 - epsilon) / sigma2
     return two_point(epsilon), snr
 

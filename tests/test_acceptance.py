@@ -175,7 +175,7 @@ def test_criterion_07_all_or_nothing_amp_and_gap_witness():
     high = transition_check(1e-8, 5.0, 2.0, "amp")
     # Gap witness at delta = 1.5x the information threshold.  The gap is a
     # claim about the eps -> 0 limit, and the coexistence window widens only
-    # logarithmically in eps: at eps = 1e-8 it spans r in (1.0535, 1.2785),
+    # logarithmically in eps: at eps = 1e-8 it spans r in (1.00123, 1.2785),
     # and at r = 1.5 M(s_amp) first clears 0.95 between eps 1e-25 and 1e-30.
     # So the witness is taken at eps = 1e-50 on the tail-surrogate path, and
     # the stuck AMP fixed point is checked again by Monte Carlo of the

@@ -98,6 +98,25 @@ class TestPotentialDerivative:
                   - potential(1.2, 2.0, RADEMACHER, s - h)) / (2 * h)
             assert abs(fd - potential_deriv(1.2, 2.0, RADEMACHER, s)) <= 1e-5
 
+    @pytest.mark.parametrize("snr", [5.0, 1e-6, 1e-12, 1e-14])
+    def test_is_residual_over_2s_at_root_bracket(self, snr):
+        # F' is the stationary residual over 2s, so at the two scan points that
+        # bracket smallest_stationary's root it carries the residual's sign and
+        # value, also at tiny snr, where M + 1/snr - delta/s cancels to a few
+        # ulps of 1/snr: 1e-6 relative at snr 1e-6, 25% at 1e-12, and F' = 0
+        # at the upper point at 1e-14.
+        prior = two_point(0.1)
+        delta = 1.1 * delta_mmse(two_point_entropy(0.1), snr)
+        lo, hi = stationary_bracket(delta, snr)
+        grid = np.geomspace(lo, hi, SCAN_POINTS)
+        k = int(np.searchsorted(grid, smallest_stationary(delta, snr, prior)))
+        pair = grid[k - 1:k + 1]
+        residual = pair * mmse_curve(prior, pair) - (delta * snr - pair) / snr
+        assert residual[0] < 0.0 <= residual[1]
+        deriv = potential_deriv(delta, snr, prior, pair)
+        assert np.array_equal(np.sign(deriv), np.sign(residual))
+        np.testing.assert_allclose(deriv, residual / (2.0 * pair), rtol=1e-9)
+
 
 class TestMinimize:
     def test_rademacher_against_brute_force(self):

@@ -133,6 +133,14 @@ class TestStandardizeBernoulli:
         with pytest.raises(ValueError):
             standardize_bernoulli(0.1, 10, 0.0)
 
+    @pytest.mark.parametrize("p, sigma2, name", [
+        (10, math.nan, "sigma2"), (10, math.inf, "sigma2"),
+        (math.inf, 1.0, "p"), (math.nan, 1.0, "p"),
+    ])
+    def test_non_finite_rejected_by_name(self, p, sigma2, name):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            standardize_bernoulli(0.1, p, sigma2)
+
 
 class TestSample:
     def test_empty(self):
