@@ -56,8 +56,7 @@ MODE_APPROX = "approx"
 
 # Curves are evaluated _CHUNK points at a time.  The chunk is the ladder's unit
 # of convergence, so I and many-atom M values, and the committed references,
-# depend on it; potential.smallest_stationary walks the same blocks so that it
-# matches a full scan bit for bit.
+# depend on it.
 _CHUNK = 256
 
 # The fixed node rules run on blocks of grid points (see _rows) that hold at
@@ -115,18 +114,18 @@ def denoise(prior: DiscretePrior, r, tau2: float):
     if not tau2 > 0.0:
         raise ValueError(f"noise variance tau2 must be positive, got {tau2!r}")
     r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
     a = prior.atom_array
-    ll = prior.log_weight_array - 0.5 * (r_arr[..., None] - a) ** 2 / tau2
-    ll -= ll.max(axis=-1, keepdims=True)
+    # One row per atom, so each reduction over the atoms runs along whole rows.
+    ll = prior.log_weight_array[:, None] - 0.5 * (r_arr.ravel() - a[:, None]) ** 2 / tau2
+    ll -= ll.max(axis=0)
     p = np.exp(ll)
-    p /= p.sum(axis=-1, keepdims=True)
-    mean = p @ a
-    second = p @ (a * a)
+    p /= p.sum(axis=0)
+    mean = a @ p
+    second = (a * a) @ p
     var = np.maximum(second - mean * mean, 0.0)
-    if scalar:
-        return float(mean), float(var)
-    return mean, var
+    if r_arr.ndim == 0:
+        return float(mean[0]), float(var[0])
+    return mean.reshape(r_arr.shape), var.reshape(r_arr.shape)
 
 
 def _two_point_log_odds(prior: DiscretePrior, s_arr: np.ndarray):

@@ -22,6 +22,7 @@ from .prior import DiscretePrior, two_point, two_point_entropy
 
 GRID_POINTS = 2000
 SCAN_POINTS = 4000
+SCAN_BLOCK = 32
 BRACKET_PAD = 1e-3
 EQUAL_MIN_TOL = 1e-8
 REFINE_RTOL = 1e-10
@@ -108,15 +109,27 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
     """Smallest s at which F'(s) = 0.
 
     Every stationary point solves s*(M(s) + 1/snr) = delta, so the residual is
-    scanned upward from the lower end of the admissible interval and the first
-    sign change is refined by bisection.  The scan order is what makes the
-    result the *first* crossing; the residual is continuous but not monotone.
-    The scan stops at the first block of ``channel._CHUNK`` points with a
-    crossing; blocks converge independently, so this matches a full scan bit
-    for bit.  Below snr ~1.1e-16, 1 + snr rounds to 1 and the interval is the
-    one double delta*snr, which is returned.  If M at the lower end rounds to
-    its s = 0 value, the prior's second moment, no crossing can be resolved and
-    a :class:`BracketError` names delta*snr as the cause.
+    scanned upward on ``SCAN_POINTS`` log-spaced points of the admissible
+    interval and the first sign change is refined by bisection.  The scan
+    order is what makes the result the *first* crossing; the residual is
+    continuous but not monotone.
+
+    The scan reads M in blocks of ``SCAN_BLOCK`` points and skips what one
+    state-evolution step certifies.  After a block without a crossing, let m
+    be M at its last point.  M is nonincreasing, so every later s below the
+    state-evolution step delta/(m + 2*QUAD_TOL + 1/snr) has a negative
+    residual; the slack covers the evaluator's error once at that point and
+    once at s.  The skip tests this as the residual at M = m + 2*QUAD_TOL, in
+    the same floating-point arithmetic as the scan's own test, so it skips no
+    point the scan would flag, and the next block starts at the first point it
+    does not certify.  The upper end hi = delta*snr is never skipped: there
+    delta*snr - s is 0 and the test reads hi*(m + 2*QUAD_TOL) > 0.  So the
+    scan meets a crossing by hi at the latest, and it is a full scan's first.
+
+    Below snr ~1.1e-16, 1 + snr rounds to 1 and the interval is the one
+    double delta*snr, which is returned.  If M at the lower end rounds to its
+    s = 0 value, the prior's second moment, no crossing can be resolved and a
+    :class:`BracketError` names delta*snr as the cause.
     """
     _check_params(delta, snr)
     lo, hi = stationary_bracket(delta, snr)
@@ -126,8 +139,9 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
     grid = np.geomspace(lo, hi, SCAN_POINTS)
     # A few ulps of slack: the tail surrogate's M(0) is 1.0, not the rounded moment.
     m_zero = float(prior.weight_array @ prior.atom_array ** 2)
-    for start in range(0, SCAN_POINTS, channel._CHUNK):
-        block = grid[start:start + channel._CHUNK]
+    start = 0
+    while start < SCAN_POINTS:
+        block = grid[start:start + SCAN_BLOCK]
         m_vals, _ = channel.mmse_eval_curve(prior, block)
         if start == 0 and m_vals[0] >= m_zero * (1.0 - 1e-15):
             raise BracketError(
@@ -137,6 +151,10 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
         above = np.flatnonzero(_residual(delta, snr, block, m_vals) >= 0.0)
         if above.size:
             break
+        start += block.size
+        m_bound = m_vals[-1] + 2.0 * channel.QUAD_TOL
+        uncertified = np.flatnonzero(_residual(delta, snr, grid[start:], m_bound) >= 0.0)
+        start += int(uncertified[0]) if uncertified.size else 0
     else:
         raise BracketError(
             "no sign change of the stationary-point residual inside the "

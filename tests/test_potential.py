@@ -29,10 +29,47 @@ from rsphase.potential import (
     stationary_bracket,
 )
 from rsphase.prior import DiscretePrior, entropy, two_point, two_point_entropy
-from rsphase.thresholds import delta_mmse, l_constant
+from rsphase.thresholds import delta_amp, delta_mmse, l_constant
 
 RADEMACHER = two_point(0.5)
 TERNARY = DiscretePrior((-math.sqrt(10.0), 0.0, math.sqrt(10.0)), (0.05, 0.9, 0.05))
+
+
+def _standardized_prior(rng, k):
+    atoms = np.sort(rng.uniform(-3.0, 3.0, k))
+    weights = rng.uniform(0.05, 1.0, k)
+    weights /= weights.sum()
+    mean = weights @ atoms
+    std = math.sqrt(weights @ (atoms - mean) ** 2)
+    return DiscretePrior(tuple((atoms - mean) / std), tuple(weights))
+
+
+def _at_amp(eps, r, snr=5.0):
+    return two_point(eps), r * delta_amp(two_point_entropy(eps), snr), snr
+
+
+def _at_it(eps, r, snr=5.0):
+    return two_point(eps), r * delta_mmse(two_point_entropy(eps), snr), snr
+
+
+# (prior, delta, snr) cases whose smallest stationary point must match a full scan.
+# delta_ALG(1e-2) / delta_amp = 0.49885 lies between r = 0.49 and 0.51.
+SCAN_CASES = {
+    "eps0.1": _at_it(0.1, 1.1),
+    "eps1e-4": _at_it(1e-4, 1.1),
+    "eps1e-8": _at_it(1e-8, 1.1),
+    "ternary": (TERNARY, 0.8, 5.0),
+    **{f"eps1e-2-amp{r}": _at_amp(1e-2, r) for r in (0.49, 0.5, 0.51)},
+    "eps1e-4-amp2": _at_amp(1e-4, 2.0),
+    "eps1e-16-it1.5": _at_it(1e-16, 1.5),
+    "eps1e-50-it1.5": _at_it(1e-50, 1.5),
+    "eps0.1-snr1e-12": _at_it(0.1, 1.1, 1e-12),
+    "eps0.1-snr1e8": _at_it(0.1, 1.1, 1e8),
+    "random5": (_standardized_prior(np.random.default_rng(5), 5), 0.7, 5.0),
+    # The amp workload: eps 0.1, snr 10, delta above delta_amp and below delta_IT.
+    "amp-0.86": (two_point(0.1), 0.86, 10.0),
+    "amp-0.2": (two_point(0.1), 0.2, 10.0),
+}
 
 
 def brute_force_argmin(prior, delta, snr, points=10**6, nodes=121):
@@ -181,16 +218,11 @@ class TestSmallestStationary:
         s_amp = smallest_stationary(1.0, 1.0, RADEMACHER)
         assert abs(grid[k] - s_amp) <= 1e-4 * s_amp
 
-    @pytest.mark.parametrize("eps", [0.1, 1e-4, 1e-8, None],
-                             ids=["eps0.1", "eps1e-4", "eps1e-8", "ternary"])
-    def test_early_stop_matches_full_scan(self, eps):
-        # The scan stops at the first chunk with a crossing; a full scan's first
-        # crossing, refined the same way, must give the same root bit for bit.
-        snr = 5.0
-        if eps is None:
-            prior, delta = TERNARY, 0.8
-        else:
-            prior, delta = two_point(eps), 1.1 * delta_mmse(two_point_entropy(eps), snr)
+    @pytest.mark.parametrize("prior, delta, snr", SCAN_CASES.values(), ids=SCAN_CASES.keys())
+    def test_early_stop_matches_full_scan(self, prior, delta, snr):
+        # The scan skips points and stops at the first block with a crossing; a
+        # full scan's first crossing, refined the same way, must give the same
+        # root bit for bit.
         lo, hi = stationary_bracket(delta, snr)
         grid = np.geomspace(lo, hi, SCAN_POINTS)
         m_vals, _ = channel.mmse_eval_curve(prior, grid)
@@ -201,6 +233,21 @@ class TestSmallestStationary:
 
         root = brentq(residual, grid[k - 1], grid[k], xtol=lo * 1e-14, rtol=1e-12)
         assert smallest_stationary(delta, snr, prior) == root
+
+    def test_scan_skips_the_high_branch(self, monkeypatch):
+        # Above the algorithmic threshold the first crossing sits near delta*snr;
+        # the scan reaches it in a few state-evolution steps, not point by point.
+        seen = []
+        curve = channel.mmse_eval_curve
+
+        def counting(prior, s_values):
+            seen.append(len(s_values))
+            return curve(prior, s_values)
+
+        monkeypatch.setattr(channel, "mmse_eval_curve", counting)
+        eps, snr = 1e-4, 5.0
+        smallest_stationary(2.0 * delta_amp(two_point_entropy(eps), snr), snr, two_point(eps))
+        assert sum(seen) <= SCAN_POINTS // 10
 
     @pytest.mark.parametrize("prior", [RADEMACHER, two_point(0.1), two_point(1e-16)],
                              ids=["rademacher", "eps0.1", "eps1e-16"])

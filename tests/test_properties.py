@@ -1,9 +1,11 @@
-"""Properties of M and I over random priors, checked with numpy alone.
+"""Properties of M, I and the smallest stationary point, checked with numpy alone.
 
 The domain is fixed: standardized priors of 3-7 atoms drawn in [-4, 4] with
 every weight at least 1e-3, two-point priors with eps = 10**u for u in
 [-100, log10 0.5], and the grid s = geomspace(1e-3, 50, 64), or its 2000-point
-version where a value must not depend on the other points of its grid.
+version where a value must not depend on the other points of its grid.  The
+smallest stationary point is checked on two-point priors with eps in
+[1e-30, 0.5], snr in [1e-3, 1e4] and delta from 0.2 to 2 times delta_amp.
 Two-point spike weights are split at ``channel.APPROX_EPSILON`` into the
 quadrature route and the tail-surrogate route; together they cover the whole
 range.  Examples are derandomized and no example database is kept, so every
@@ -18,8 +20,11 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rsphase import channel
+from rsphase._numerics import brentq
 from rsphase.amp import mc_mmse
-from rsphase.prior import DiscretePrior, entropy, two_point
+from rsphase.potential import SCAN_POINTS, BracketError, smallest_stationary, stationary_bracket
+from rsphase.prior import DiscretePrior, entropy, two_point, two_point_entropy
+from rsphase.thresholds import delta_amp
 
 S = np.geomspace(1e-3, 50.0, 64)
 S_LONG = np.geomspace(1e-3, 50.0, 2000)
@@ -36,7 +41,9 @@ def discrete_priors(draw):
     raw = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
     assume(raw.sum() > 0.0)
     # Every weight vector with all weights >= MIN_WEIGHT is reachable this way.
-    weights = MIN_WEIGHT + (1.0 - k * MIN_WEIGHT) * raw / raw.sum()
+    # Normalize first: scaling a subnormal raw weight before dividing rounds it
+    # back up, and raw (0, 0, 5e-324) would give weights summing to 1 + 3*MIN_WEIGHT.
+    weights = MIN_WEIGHT + (1.0 - k * MIN_WEIGHT) * (raw / raw.sum())
     mean = weights @ atoms
     std = math.sqrt(weights @ (atoms - mean) ** 2)
     assume(std > 0.0)
@@ -189,3 +196,37 @@ def _quadrature_information(prior, s_values):
 @example(two_point(1e-4), [281])
 def test_quadrature_information_independent_of_its_grid(prior, indices):
     _check_chunk_independent(_quadrature_information, prior, indices, 1e-15)
+
+
+def _full_scan_root(delta, snr, prior):
+    """The first sign change of the stationary residual over every scan point,
+    refined as ``smallest_stationary`` refines it.  None where that function
+    must give up: M at the first point rounds to the prior's second moment, or
+    the first point is already past the crossing."""
+    lo, hi = stationary_bracket(delta, snr)
+    grid = np.geomspace(lo, hi, SCAN_POINTS)
+    m_vals, _ = channel.mmse_eval_curve(prior, grid)
+    k = int(np.flatnonzero(grid * m_vals - (delta * snr - grid) / snr >= 0.0)[0])
+    if m_vals[0] >= prior.weight_array @ prior.atom_array ** 2 * (1.0 - 1e-15) or k == 0:
+        return None
+    return brentq(lambda s: s * channel.mmse_eval(prior, s)[0] - (delta * snr - s) / snr,
+                  grid[k - 1], grid[k], xtol=lo * 1e-14, rtol=1e-12)
+
+
+@_PROPERTY
+@given(_epsilons(-30.0, math.log10(0.5)), st.floats(-3.0, 4.0).map(lambda u: 10.0 ** u),
+       st.floats(0.2, 2.0))
+@example(1e-2, 5.0, 0.49885)
+@example(1e-4, 5.0, 2.0)
+def test_smallest_stationary_matches_full_scan(eps, snr, r):
+    # The scan skips the points one state-evolution step certifies and stops at
+    # the first block with a crossing; the root must be the full scan's, bit for
+    # bit, and where the full scan cannot resolve the crossing, the scan must
+    # raise.
+    delta = r * delta_amp(two_point_entropy(eps), snr)
+    root = _full_scan_root(delta, snr, two_point(eps))
+    if root is None:
+        with pytest.raises(BracketError):
+            smallest_stationary(delta, snr, two_point(eps))
+    else:
+        assert smallest_stationary(delta, snr, two_point(eps)) == root
