@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channel
-from .prior import DiscretePrior
+from . import channel, potential
+from .prior import DiscretePrior, _check_epsilon
 
 SE_T_MAX = 500
 SE_TOL = 1e-10
@@ -95,8 +95,7 @@ def _se_run(prior, delta, snr, t_max, tol=None):
     ``m[t] = M(s[t])``.  Runs ``t_max`` steps, or stops after the first step
     within ``tol`` relative of its start (``tol=None`` never stops early).
     """
-    if not delta > 0.0 or not snr > 0.0:
-        raise ValueError("delta and snr must be positive")
+    potential._check_params(delta, snr)
     s = [delta * snr / (1.0 + snr)]
     m = []
     for _ in range(t_max):
@@ -272,8 +271,7 @@ def mc_mmse(prior: DiscretePrior, s: float, samples: int, seed: int):
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
-    if s < 0.0:
-        raise ValueError(f"s must be nonnegative, got {s!r}")
+    channel._snr_grid(s)
     rng = np.random.default_rng(seed)
     beta0 = rng.choice(prior.atom_array, size=samples, p=prior.weight_array)
     noise = rng.standard_normal(samples)
@@ -294,12 +292,10 @@ def mc_mmse_two_point(epsilon: float, s: float, samples: int, seed: int):
     Averages 1 / (1 - eps + eps * exp(s/(2 eps (1-eps)) + sqrt(s/(eps(1-eps))) N))
     over standard normal draws.  Returns ``(estimate, standard_error)``.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_epsilon(epsilon)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
-    if s < 0.0:
-        raise ValueError(f"s must be nonnegative, got {s!r}")
+    channel._snr_grid(s)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(samples)
     scale = epsilon * (1.0 - epsilon)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _numerics
-from .prior import DiscretePrior, entropy, two_point_epsilon
+from .prior import DiscretePrior, _check_epsilon, entropy, two_point_epsilon
 
 QUAD_TOL = 1e-8
 # The ladder serves I and many-atom M.  One doubling past 961: at spike weights
@@ -359,7 +359,7 @@ def _rows(fn, s_arr: np.ndarray, width: int) -> np.ndarray:
 
 def _snr_grid(s_values) -> np.ndarray:
     s_arr = np.asarray(s_values, dtype=float)
-    if np.any(s_arr < 0.0) or not np.all(np.isfinite(s_arr)):
+    if not ((s_arr >= 0.0) & (s_arr < math.inf)).all():      # NaN fails both
         raise ValueError("SNR grid values must be finite and nonnegative")
     return s_arr
 
@@ -437,10 +437,9 @@ def mmse_q_approx(epsilon: float, s):
     converges uniformly to the true two-point MMSE as epsilon shrinks and is
     the evaluation path once quadrature underflows.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
+    _check_epsilon(epsilon)
+    s_arr = _snr_grid(s)
+    if (s_arr == 0.0).any():
         raise ValueError("s must be positive")
     arg = (s_arr - 2.0 * epsilon * math.log(1.0 / epsilon)) \
         / (2.0 * np.sqrt(s_arr) * math.sqrt(epsilon))
@@ -467,8 +466,7 @@ def mutual_info_q_approx(epsilon: float, s: float) -> float:
     if not 0.0 < epsilon < APPROX_EPSILON:
         raise ValueError(f"epsilon must lie in (0, APPROX_EPSILON={APPROX_EPSILON:g}), "
                          f"got {epsilon!r}")
-    if s < 0.0:
-        raise ValueError(f"s must be nonnegative, got {s!r}")
+    s = float(_snr_grid(s))
     if s == 0.0:
         return 0.0
     s0 = 2.0 * epsilon * math.log(1.0 / epsilon)
@@ -500,7 +498,7 @@ def mutual_info_eval(prior: DiscretePrior, s: float):
     """
     eps = approx_epsilon(prior)
     if eps is not None:
-        return mutual_info_q_approx(eps, float(_snr_grid(s))), MODE_APPROX
+        return mutual_info_q_approx(eps, s), MODE_APPROX
     i_vals, mode = mutual_info_eval_curve(prior, [s])
     return float(i_vals[0]), mode
 

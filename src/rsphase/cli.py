@@ -18,7 +18,6 @@ import os
 import sys
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +107,10 @@ class SweepSpec:
                 if not 0 < value < math.inf:
                     raise SpecError(f"{name}: amp mode requires a positive finite value, "
                                     f"got {value!r}")
-            if round(self.delta * self.p) < 1:
-                raise SpecError("delta: amp mode needs delta*p > 0.5 (at least one "
-                                f"measurement), got delta*p = {self.delta * self.p:g}")
+            n = self.delta * self.p          # _run_amp takes round(n) measurements
+            if not 0.5 < n < math.inf:
+                raise SpecError("delta: amp mode needs 0.5 < delta*p < inf (at least one "
+                                f"measurement, and finitely many), got delta*p = {n:g}")
         if self.s_points < 2 or self.t_points < 2:
             raise SpecError("grid: s_points and t_points must be >= 2")
         if not (0 < self.s_min < self.s_max):
@@ -203,6 +203,7 @@ def _run_phase(spec: SweepSpec) -> list:
              for r in spec.rs for k in spec.kinds]
     workers = min(spec.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor     # slows every CLI start
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_phase_cell, cells, chunksize=1))
     else:

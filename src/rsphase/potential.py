@@ -46,13 +46,27 @@ def stationary_bracket(delta: float, snr: float):
     return delta * snr / (1.0 + snr), delta * snr
 
 
-def _check_params(delta, snr):
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+def _check_snr(snr):
     if not snr > 0.0 or not math.isfinite(snr):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
-    if not math.isfinite(delta * snr):
-        raise ValueError(f"delta*snr must be finite, got {delta * snr!r}")
+
+
+def _check_params(value, snr, name="delta"):
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    _check_snr(snr)
+    if not math.isfinite(value * snr):
+        raise ValueError(f"{name}*snr must be finite, got {value * snr!r}")
+    if value * snr < np.finfo(float).tiny:
+        raise ValueError(f"{name}*snr = {value * snr!r} is below the smallest normal double, "
+                         "so it and the admissible interval's ends lost precision or rounded to 0")
+
+
+def _t_grid(t_values) -> np.ndarray:
+    t_arr = np.asarray(t_values, dtype=float)
+    if not ((t_arr > 0.0) & (t_arr < math.inf)).all():
+        raise ValueError("t values must be positive and finite")
+    return t_arr
 
 
 def potential(delta: float, snr: float, prior: DiscretePrior, s: float) -> float:
@@ -237,12 +251,8 @@ def normalized_curve(epsilon: float, r: float, snr: float, t_values) -> np.ndarr
     By I' = M/2 the normalized information is I(2*H*t)/H, so the curve is the
     channel layer's information rescaled by 2*H, plus the rescaled penalty.
     """
-    t_arr = np.asarray(t_values, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise ValueError("t grid must be positive")
-    if not r > 0.0:
-        raise ValueError(f"r must be positive, got {r!r}")
-    _check_params(r, snr)
+    t_arr = _t_grid(t_values)
+    _check_params(r, snr, "r")
     h = two_point_entropy(epsilon)
     c = math.log1p(snr)
     i_vals, _ = channel.mutual_info_eval_curve(two_point(epsilon), 2.0 * h * t_arr)
@@ -287,12 +297,8 @@ def normalized_smallest_stationary(epsilon: float, r: float, snr: float) -> floa
 
 def limit_potential(r: float, snr: float, t) -> float:
     """Small-epsilon limit of the normalized potential: min(1,t) + penalty."""
-    if not r > 0.0:
-        raise ValueError(f"r must be positive, got {r!r}")
-    _check_params(r, snr)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise ValueError("t must be positive")
+    _check_params(r, snr, "r")
+    t_arr = _t_grid(t)
     c = math.log1p(snr)
     out = np.minimum(1.0, t_arr) + (r / c) * _logdiv(t_arr * c / (r * snr))
     return float(out) if np.ndim(t) == 0 else out
@@ -300,8 +306,7 @@ def limit_potential(r: float, snr: float, t) -> float:
 
 def amp_threshold_ratio(snr: float) -> float:
     """Ratio of the algorithmic to the information threshold: (1+1/snr)ln(1+snr)."""
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr!r}")
+    _check_snr(snr)
     return (1.0 + 1.0 / snr) * math.log1p(snr)
 
 
@@ -312,9 +317,7 @@ def limit_minimizers(r: float, snr: float):
     r = 1 and the smallest stationary point at r = the threshold ratio; both
     boundary values are excluded (the limit curve is degenerate there).
     """
-    if not r > 0.0:
-        raise ValueError(f"r must be positive, got {r!r}")
-    _check_params(r, snr)
+    _check_params(r, snr, "r")
     c = math.log1p(snr)
     r_alg = amp_threshold_ratio(snr)
     if r == 1.0:

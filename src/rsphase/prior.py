@@ -76,6 +76,11 @@ class DiscretePrior:
         return len(self.atoms)
 
 
+def _check_epsilon(epsilon):
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+
+
 def two_point(epsilon: float) -> DiscretePrior:
     """Standardized two-atom prior with spike probability ``epsilon``.
 
@@ -84,8 +89,7 @@ def two_point(epsilon: float) -> DiscretePrior:
     """
     if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be a finite number, got {epsilon!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_epsilon(epsilon)
     mu1 = -math.sqrt(epsilon / (1.0 - epsilon))
     mu2 = math.sqrt((1.0 - epsilon) / epsilon)
     if mu2 == math.inf:
@@ -101,8 +105,7 @@ def entropy(prior: DiscretePrior) -> float:
 
 def two_point_entropy(epsilon: float) -> float:
     """Binary entropy -e*ln(e) - (1-e)*ln(1-e) in nats, stable for tiny epsilon."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_epsilon(epsilon)
     return -epsilon * math.log(epsilon) - (1.0 - epsilon) * math.log1p(-epsilon)
 
 
@@ -113,8 +116,7 @@ def standardize_bernoulli(epsilon: float, p: int, sigma2: float):
     the prior into ``two_point(epsilon)`` and the total signal-to-noise ratio
     into ``p*eps*(1-eps)/sigma2``.  Returns ``(prior, snr)``.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_epsilon(epsilon)
     if not 1 <= p < math.inf:
         raise ValueError(f"dimension p must be >= 1 and finite, got {p!r}")
     if not 0.0 < sigma2 < math.inf:

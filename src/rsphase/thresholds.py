@@ -13,7 +13,8 @@ import math
 from dataclasses import asdict, dataclass
 
 from . import channel, potential
-from .prior import DiscretePrior, entropy, standardize_bernoulli, two_point, two_point_entropy
+from .prior import (DiscretePrior, _check_epsilon, entropy, standardize_bernoulli, two_point,
+                    two_point_entropy)
 
 KIND_MMSE = "mmse"
 KIND_AMP = "amp"
@@ -22,8 +23,7 @@ KIND_AMP = "amp"
 def _check_h_snr(h, snr):
     if not 0.0 < h < math.inf:
         raise ValueError(f"entropy h must be positive and finite, got {h!r}")
-    if not snr > 0.0 or not math.isfinite(snr):
-        raise ValueError(f"snr must be positive and finite, got {snr!r}")
+    potential._check_snr(snr)
 
 
 def delta_mmse(h: float, snr: float) -> float:
@@ -74,8 +74,8 @@ def transition_check(epsilon: float, snr: float, r: float, kind: str) -> float:
     smallest stationary point.  Values near 1 mean no recovery, near 0 mean
     essentially exact recovery.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_epsilon(epsilon)
+    potential._check_snr(snr)
     if not r > 0.0 or r == 1.0:
         raise ValueError(f"r must lie in (0,1) or (1,inf), got {r!r}")
     if kind not in (KIND_MMSE, KIND_AMP):
@@ -122,8 +122,7 @@ def report(epsilon: float, snr: float | None = None, *, p: float | None = None,
     :func:`~rsphase.prior.standardize_bernoulli` is used; in the latter case
     the sparse simplifications are filled in as well.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_epsilon(epsilon)
     sparse = (None, None)
     if p is not None and sigma2 is not None:
         # Validates sigma2 > 0 and 0 < k < p before snr is derived from them.

@@ -18,7 +18,7 @@ from rsphase.amp import (
 )
 from rsphase.channel import mmse, mmse_eval
 from rsphase.potential import smallest_stationary
-from rsphase.prior import entropy, two_point
+from rsphase.prior import DiscretePrior, entropy, two_point
 from rsphase.thresholds import delta_amp, delta_mmse
 
 
@@ -187,6 +187,16 @@ class TestRunAmp:
         inst = generate(two_point(0.1), 400, 400, 50.0, seed=4)
         assert run_amp(inst, two_point(0.2), t_max=20).prior_mismatch
         assert not run_amp(inst, two_point(0.1), t_max=20).prior_mismatch
+        ternary = DiscretePrior((-math.sqrt(2.0), 0.0, math.sqrt(2.0)), (0.25, 0.5, 0.25))
+        assert run_amp(inst, ternary, t_max=5).prior_mismatch
+
+    def test_noiseless_instance_has_nan_se_columns(self):
+        # snr is infinite, so there is no state-evolution reference to align.
+        trace = run_amp(generate(two_point(0.1), 100, 200, 0.0, seed=5), two_point(0.1),
+                        t_max=5)
+        for column in (trace.se_snr, trace.se_mse):
+            assert column.shape == (trace.iterations + 1,)
+            assert np.all(np.isnan(column))
 
     def test_divergence_guard(self, monkeypatch):
         # An estimator that amplifies its input must trip the divergence error.

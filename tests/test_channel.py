@@ -292,6 +292,20 @@ class TestQApprox:
         with pytest.raises(ValueError, match="APPROX_EPSILON"):
             mutual_info_q_approx(eps, 1.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, [1.0, math.nan]],
+                             ids=["nan", "inf", "grid-with-nan"])
+    def test_s_helpers_reject_non_finite_s(self, s):
+        # Each checks s with channel._snr_grid; mmse_q_approx also needs s > 0.
+        scalar = s if np.ndim(s) == 0 else math.nan
+        for call in (lambda: mmse_q_approx(0.1, s),
+                     lambda: mutual_info_q_approx(1e-16, scalar),
+                     lambda: mc_mmse(two_point(0.1), scalar, 10, seed=0),
+                     lambda: mc_mmse_two_point(0.1, scalar, 10, seed=0)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                call()
+        with pytest.raises(ValueError, match="s must be positive"):
+            mmse_q_approx(0.1, 0.0)
+
     @pytest.mark.parametrize("eps", [9.999e-13, 1e-13, 1e-16, 1e-50])
     def test_mutual_info_surrogate_far_past_transition(self, eps):
         # Oracle: quad on pieces cut at s0 * 2^k, so no piece holds more than a

@@ -1,5 +1,6 @@
 """CLI artifact emission: formats, determinism, validation, selftest."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -186,13 +187,23 @@ class TestPhaseCommand:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         base = ["phase", "--epsilons", "0.05", "--snrs", "5", "--kinds", "mmse",
                 "--jobs", "64"]
         assert main(base + ["--rs", "0.5,2.0", "--out", str(tmp_path / "a")]) == 0
         assert main(base + ["--rs", "0.3,0.5,2.0,3.0", "--out", str(tmp_path / "b")]) == 0
         assert sizes == [2, 3]
+
+    def test_cli_import_leaves_the_pool_out(self):
+        # A fresh interpreter: the pool is imported only when a sweep uses it.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get(
+            "PYTHONPATH")])))
+        code = "import sys, rsphase.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_tiny_snr_cells_all_resolve(self, tmp_path):
         # Below snr ~1.1e-16 the admissible interval is one double; every cell resolves.
@@ -416,6 +427,16 @@ class TestRuntimeErrors:
         assert "1 - M(s) rounds to 0" in err
         assert "quadrature" not in err
 
+    @pytest.mark.filterwarnings("error")    # a numpy RuntimeWarning would print a second line
+    @pytest.mark.parametrize("delta, snr", [("1e-300", "1e-300"), ("1", "1e-320")])
+    def test_subnormal_delta_snr_is_one_line(self, delta, snr, tmp_path, capsys):
+        rc = main(["potential", "--epsilon", "0.1", "--delta", delta, "--snr", snr,
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: delta*snr = ") and err.count("\n") == 1
+        assert "smallest normal double" in err
+
     def test_overflowing_delta_snr_is_one_line(self, tmp_path):
         # A child process, so that the stderr seen is the whole of it, numpy's
         # warnings included (the test session would turn them into errors);
@@ -543,6 +564,16 @@ class TestSpecValidation:
         assert rc == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    def test_amp_overflowing_delta_p_is_one_config_error_line(self, tmp_path, capsys):
+        # An overflowing delta*p is a config error, not an OverflowError from round().
+        rc = main(["amp", "--p", "10", "--delta", "1e308", "--snr", "5", "--epsilon", "0.1",
+                   "--seeds", "1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: delta: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_hash_stable_under_out_and_jobs(self):
         a = SweepSpec(mode="channel", epsilon=0.1, out="x", jobs=1)

@@ -256,6 +256,17 @@ class TestSmallestStationary:
         with pytest.raises(BracketError, match=r"delta\*snr = 5e-300 .* 1 - M\(s\) rounds to 0"):
             smallest_stationary(1e-300, 5.0, prior)
 
+    @pytest.mark.parametrize("delta, snr", [(1e-300, 1e-300), (1.0, 1e-320)])
+    def test_subnormal_delta_snr_is_rejected(self, delta, snr):
+        # The product rounds to 0 or is subnormal, so the interval's ends are not
+        # resolved; every search names the product instead of returning a value.
+        prior = two_point(0.1)
+        for call in (lambda: smallest_stationary(delta, snr, prior),
+                     lambda: minimize(delta, snr, prior),
+                     lambda: potential_deriv(delta, snr, prior, 1e-310)):
+            with pytest.raises(ValueError, match=r"^delta\*snr = .* smallest normal double"):
+                call()
+
     def test_fixed_point_residual(self):
         for delta, snr, eps in ((1.0, 1.0, 0.5), (0.5, 8.0, 0.05)):
             prior = two_point(eps)
@@ -379,6 +390,14 @@ class TestLimitMinimizers:
             assert t_star > 1.0
         assert limit_minimizers(0.99 * r_alg, snr)[1] < 1.0
         assert limit_minimizers(1.01 * r_alg, snr)[1] > 1.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+    def test_limit_and_normalized_curves_check_t_alike(self, t):
+        # One t rule for both curves: no NaN comes back for a NaN or infinite t.
+        with pytest.raises(ValueError, match="^t values must be positive and finite"):
+            limit_potential(0.5, 5.0, t)
+        with pytest.raises(ValueError, match="^t values must be positive and finite"):
+            normalized_curve(0.1, 0.5, 5.0, [1.0, t])
 
     def test_boundary_domain_errors(self):
         with pytest.raises(ValueError):

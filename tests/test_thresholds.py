@@ -118,6 +118,15 @@ class TestTransitionCheck:
         with pytest.raises(ValueError):
             transition_check(0.0, 5.0, 0.5, "mmse")
 
+    @pytest.mark.parametrize("kind", ["amp", "mmse"])
+    def test_non_finite_snr_is_named(self, kind):
+        # The error names snr, not the delta derived from it.
+        for snr in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^snr must be positive and finite"):
+                r_amp(snr)
+            with pytest.raises(ValueError, match="^snr must be positive and finite"):
+                transition_check(0.1, snr, 2.0, kind)
+
     def test_moderate_epsilon_sides(self):
         # Far from the asymptotic regime the checks still land on the correct
         # side of one half.
