@@ -192,9 +192,10 @@ def run_amp(instance: RegressionInstance, prior: DiscretePrior,
     purely the reference prediction.  The iteration is deterministic given
     the instance, whose seed is echoed into the trace.
 
-    Estimation with a prior different from the one that generated the instance
-    is allowed and flagged in the trace.  Raises :class:`DivergenceError` when
-    the MSE exceeds 10x its initial value for 3 consecutive iterations.
+    A zero residual ends the run as converged.  Estimation with a prior
+    different from the one that generated the instance is allowed and flagged
+    in the trace.  Raises :class:`DivergenceError` when the MSE exceeds 10x
+    its initial value for 3 consecutive iterations.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max!r}")
@@ -213,6 +214,11 @@ def run_amp(instance: RegressionInstance, prior: DiscretePrior,
     t_done = 0
     for t in range(t_max):
         tau2 = residual_var[-1]
+        if tau2 == 0.0:
+            # The estimate reproduces y exactly: a fixed point of the iteration,
+            # and the denoiser has no noise level to work at.
+            converged = True
+            break
         r_vec = x_hat + (x.T @ z) / n
         x_new, v_new = channel.denoise(prior, r_vec, tau2)
         if onsager:

@@ -317,19 +317,33 @@ def _mi_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(entropy(prior) - post_ent, 0.0)
 
 
-def _ladder(nodes_fn, prior, tol, nodes, s_arr):
+def _ladder(nodes_fn, prior, tol, nodes, s_arr, per_point=False):
     """``nodes_fn`` on one chunk: at the fixed order ``nodes`` if given, else up
-    ``NODE_LADDER`` until successive rungs agree to ``tol``."""
-    def rung(n):
-        return _rows(functools.partial(nodes_fn, prior, n=n), s_arr, n)
+    ``NODE_LADDER`` until successive rungs agree to ``tol``.
+
+    The chunk converges as a whole: every point stops at the first rung where
+    all of them agree.  With ``per_point``, each point retires at the first
+    rung where its own value agrees, and the next rung runs on the points
+    still active, so a point stops where a size-1 call would stop it.
+    """
+    def rung(n, s):
+        return _rows(functools.partial(nodes_fn, prior, n=n), s, n)
 
     if nodes is not None:
-        return rung(nodes)
+        return rung(nodes, s_arr)
+    out = np.empty_like(s_arr)
+    active = np.arange(s_arr.size)
     prev = None
     for n in NODE_LADDER:
-        cur = rung(n)
-        if prev is not None and float(np.max(np.abs(cur - prev))) <= tol:
-            return cur
+        cur = rung(n, s_arr[active])
+        if prev is not None:
+            done = np.abs(cur - prev) <= tol
+            if done.all():
+                out[active] = cur
+                return out
+            if per_point:
+                out[active[done]] = cur[done]
+                active, cur = active[~done], cur[~done]
         prev = cur
     raise QuadratureError(
         f"Gauss-Hermite refinement up to {NODE_LADDER[-1]} nodes did not "
@@ -490,17 +504,25 @@ def mmse_eval(prior: DiscretePrior, s: float):
     return float(m_vals[0]), mode
 
 
-def mutual_info_eval(prior: DiscretePrior, s: float):
-    """I(s) together with the evaluation-mode tag.
+def mutual_info_eval(prior: DiscretePrior, s):
+    """I(s) together with the evaluation-mode tag; a float in gives a float
+    out, an array in gives an array out.
 
-    On the surrogate path the scalar value is :func:`mutual_info_q_approx`,
-    which is tighter than the trapezoid of the curve version.
+    Each point is evaluated as if alone, not as a curve point: on the
+    surrogate path it is :func:`mutual_info_q_approx`, which is tighter than
+    the trapezoid of the curve version, and on the quadrature path it climbs
+    the node ladder to ``_mi_tol(prior)`` on its own (see :func:`_ladder`).
     """
+    s_arr = _snr_grid(s)
     eps = approx_epsilon(prior)
     if eps is not None:
-        return mutual_info_q_approx(eps, s), MODE_APPROX
-    i_vals, mode = mutual_info_eval_curve(prior, [s])
-    return float(i_vals[0]), mode
+        i_vals = np.array([mutual_info_q_approx(eps, v) for v in s_arr.ravel()])
+        mode = MODE_APPROX
+    else:
+        i_vals = _curve(s_arr.ravel(), 0.0, functools.partial(
+            _ladder, _mi_nodes, prior, _mi_tol(prior), None, per_point=True))
+        mode = MODE_QUADRATURE
+    return (float(i_vals[0]) if s_arr.ndim == 0 else i_vals.reshape(s_arr.shape)), mode
 
 
 def mmse_eval_curve(prior: DiscretePrior, s_values):

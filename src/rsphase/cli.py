@@ -162,10 +162,9 @@ def _run_potential(spec: SweepSpec) -> list:
     lo, hi = land.bracket
     s_grid = np.geomspace(lo * (1 - potential.BRACKET_PAD),
                           hi * (1 + potential.BRACKET_PAD), spec.s_points)
+    f_vals = potential.potential(spec.delta, spec.snr, prior, s_grid)
     fp_vals = potential.potential_deriv(spec.delta, spec.snr, prior, s_grid)
-    # F stays scalar: on the tail-surrogate path a grid of I is a coarser trapezoid.
-    rows = [[_fmt(s), _fmt(potential.potential(spec.delta, spec.snr, prior, s)), _fmt(fp)]
-            for s, fp in zip(s_grid, fp_vals)]
+    rows = [[_fmt(s), _fmt(f), _fmt(fp)] for s, f, fp in zip(s_grid, f_vals, fp_vals)]
     summary = ("# summary: f_star=" + _fmt(land.f_star)
                + " s_lower_star=" + _fmt(land.s_lower_star)
                + " s_upper_star=" + _fmt(land.s_upper_star)

@@ -49,17 +49,23 @@ def stationary_bracket(delta: float, snr: float):
 def _check_snr(snr):
     if not snr > 0.0 or not math.isfinite(snr):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
+    if snr < np.finfo(float).tiny:
+        raise ValueError(f"snr = {snr!r} is below the smallest normal double, so 1/snr overflows")
 
 
 def _check_params(value, snr, name="delta"):
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
+    # The product's rules come before snr's own: a subnormal snr whose product
+    # is subnormal too is reported by the product.
+    if 0.0 < snr < math.inf:
+        if not math.isfinite(value * snr):
+            raise ValueError(f"{name}*snr must be finite, got {value * snr!r}")
+        if value * snr < np.finfo(float).tiny:
+            raise ValueError(f"{name}*snr = {value * snr!r} is below the smallest normal double, "
+                             "so it and the admissible interval's ends lost precision or "
+                             "rounded to 0")
     _check_snr(snr)
-    if not math.isfinite(value * snr):
-        raise ValueError(f"{name}*snr must be finite, got {value * snr!r}")
-    if value * snr < np.finfo(float).tiny:
-        raise ValueError(f"{name}*snr = {value * snr!r} is below the smallest normal double, "
-                         "so it and the admissible interval's ends lost precision or rounded to 0")
 
 
 def _t_grid(t_values) -> np.ndarray:
@@ -69,13 +75,25 @@ def _t_grid(t_values) -> np.ndarray:
     return t_arr
 
 
-def potential(delta: float, snr: float, prior: DiscretePrior, s: float) -> float:
-    """Potential value F(s); raises ValueError at s <= 0 (log singularity)."""
-    _check_params(delta, snr)
-    if not s > 0.0:
+def _positive_s(s) -> np.ndarray:
+    s_arr = np.asarray(s, dtype=float)
+    if not np.all(s_arr > 0.0):
         raise ValueError(f"s must be positive, got {s!r}")
-    i_val, _ = channel.mutual_info_eval(prior, s)
-    return i_val + 0.5 * delta * _logdiv(s / (delta * snr))
+    return s_arr
+
+
+def potential(delta: float, snr: float, prior: DiscretePrior, s):
+    """Potential value F(s); raises ValueError at s <= 0 (log singularity).
+
+    Vectorized over ``s`` as :func:`potential_deriv` is.  I comes from
+    :func:`channel.mutual_info_eval`, so each point of an array gets the
+    value a scalar call at that point gives, up to the rounding of BLAS's
+    node sums.
+    """
+    _check_params(delta, snr)
+    s_arr = _positive_s(s)
+    i_vals, _ = channel.mutual_info_eval(prior, s)
+    return i_vals + 0.5 * delta * _logdiv(s_arr / (delta * snr))
 
 
 def _residual(delta, snr, s, m):
@@ -91,9 +109,7 @@ def potential_deriv(delta: float, snr: float, prior: DiscretePrior, s):
     gives a float out, an array in gives an array out.
     """
     _check_params(delta, snr)
-    s_arr = np.asarray(s, dtype=float)
-    if not np.all(s_arr > 0.0):
-        raise ValueError(f"s must be positive, got {s!r}")
+    s_arr = _positive_s(s)
     m_vals, _ = channel.mmse_eval_curve(prior, np.atleast_1d(s_arr))
     out = _residual(delta, snr, s_arr, m_vals) / (2.0 * s_arr)
     return float(out[0]) if s_arr.ndim == 0 else out

@@ -72,6 +72,11 @@ class TestStateEvolution:
         assert s_limit == pytest.approx(0.8 * 4.0, rel=1e-12)
         assert len(iterates) == 3   # start, jump to the fixed point, confirm
 
+    def test_subnormal_snr_is_rejected(self):
+        # 1/snr overflows, which made every SE step after the first return 0.
+        with pytest.raises(ValueError, match=r"^snr = 1e-310 is below the smallest normal"):
+            se_sequence(two_point(0.1), 1e10, 1e-310, 3)
+
     def test_monotone_iterates(self):
         for delta, snr, eps in ((1.0, 1.0, 0.5), (0.3, 5.0, 0.1)):
             _, iterates = state_evolution(two_point(eps), delta, snr)
@@ -197,6 +202,15 @@ class TestRunAmp:
         for column in (trace.se_snr, trace.se_mse):
             assert column.shape == (trace.iterations + 1,)
             assert np.all(np.isnan(column))
+
+    def test_zero_residual_ends_as_converged(self):
+        # AMP recovers this noiseless instance exactly, so its residual reaches 0
+        # and the denoiser would get tau2 = 0.
+        trace = run_amp(generate(two_point(0.1), 100, 200, 0.0, seed=5), two_point(0.1),
+                        t_max=10)
+        assert trace.converged and trace.iterations < 10
+        assert trace.residual_var[-1] == 0.0 and trace.mse[-1] == 0.0
+        assert len(trace.mse) == len(trace.residual_var) == trace.iterations + 1
 
     def test_divergence_guard(self, monkeypatch):
         # An estimator that amplifies its input must trip the divergence error.

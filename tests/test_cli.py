@@ -13,6 +13,8 @@ import pytest
 
 from rsphase import cli
 from rsphase.cli import SpecError, SweepSpec, main, run
+from rsphase.potential import potential
+from rsphase.prior import two_point, two_point_entropy
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -124,6 +126,20 @@ class TestPotentialCommand:
         # The landmark matches the library value.
         s_amp = float(summary[0].split("s_amp=")[1].split()[0])
         assert s_amp == pytest.approx(0.6295127863, abs=1e-6)
+
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-16], ids=["quadrature", "surrogate"])
+    def test_f_column_matches_scalar_calls(self, eps, tmp_path):
+        # F is one grid call; each value is what a scalar call at its s gives.
+        delta = 1.1 * 2.0 * two_point_entropy(eps) / math.log1p(5.0)
+        rc = main(["potential", "--epsilon", repr(eps), "--delta", repr(delta),
+                   "--snr", "5", "--out", str(tmp_path)])
+        assert rc == 0
+        _, header, body = read_csv(tmp_path / "potential.csv")
+        assert header[:2] == ["s", "F"]
+        f_vals = np.array([float(row[1]) for row in body])
+        scalar = np.array([potential(delta, 5.0, two_point(eps), float(row[0])) for row in body])
+        np.testing.assert_allclose(f_vals, scalar, rtol=1e-15, atol=0)
 
 
 class TestThresholdsCommand:

@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 from rsphase import channel
 from rsphase.channel import QUAD_TOL, mmse, mmse_curve, mutual_info, mutual_info_curve
 from rsphase.potential import (
+    BRACKET_PAD,
     SCAN_POINTS,
     BracketError,
     amp_threshold_ratio,
@@ -115,6 +116,83 @@ class TestPotentialValue:
         x = s / (delta * snr)
         expected = mutual_info(RADEMACHER, s) + 0.5 * delta * (x - math.log(x) - 1.0)
         assert potential(delta, snr, RADEMACHER, s) == pytest.approx(expected, abs=1e-12)
+
+
+# The landscape benchmark's potential operations: delta 1.1 times the
+# information threshold at snr 5, and the ternary prior at delta 0.8.
+PER_POINT_CASES = {
+    **{f"eps{eps:g}": _at_it(eps, 1.1) for eps in (0.1, 1e-4, 1e-8, 1e-16)},
+    "ternary": (TERNARY, 0.8, 5.0),
+}
+QUADRATURE_CASES = [case for case in PER_POINT_CASES if case != "eps1e-16"]
+
+
+def _potential_grid(delta, snr, points=200):
+    """The s grid of ``rsphase potential``."""
+    lo, hi = stationary_bracket(delta, snr)
+    return np.geomspace(lo * (1 - BRACKET_PAD), hi * (1 + BRACKET_PAD), points)
+
+
+class TestPerPointLadder:
+    """An array of s converges each point on its own, as a size-1 call does."""
+
+    def _with_rungs(self, monkeypatch, fn):
+        """``fn()``, and per s value the top rung ``_mi_nodes`` ran it at."""
+        reached = {}
+        nodes = channel._mi_nodes
+
+        def recording(prior, s_arr, n):
+            for s in s_arr:
+                reached[s] = max(reached.get(s, 0), n)
+            return nodes(prior, s_arr, n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(channel, "_mi_nodes", recording)
+            return fn(), reached
+
+    @pytest.mark.parametrize("case", PER_POINT_CASES)
+    def test_grid_call_matches_scalar_calls(self, case, monkeypatch):
+        prior, delta, snr = PER_POINT_CASES[case]
+        grid = _potential_grid(delta, snr)
+        on_grid, grid_rungs = self._with_rungs(
+            monkeypatch, lambda: potential(delta, snr, prior, grid))
+        one_by_one, point_rungs = self._with_rungs(
+            monkeypatch, lambda: np.array([potential(delta, snr, prior, s) for s in grid]))
+        assert grid_rungs == point_rungs
+        assert len(grid_rungs) == (0 if case == "eps1e-16" else grid.size)
+        if case == "eps1e-16":      # the surrogate: the same mutual_info_q_approx per point
+            assert np.array_equal(on_grid, one_by_one)
+        else:                       # only BLAS's row grouping of the node sums differs
+            np.testing.assert_allclose(on_grid, one_by_one, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("case", QUADRATURE_CASES)
+    def test_size_one_is_the_curve_call(self, case):
+        prior, delta, snr = PER_POINT_CASES[case]
+        for s in _potential_grid(delta, snr):
+            curve, mode = channel.mutual_info_eval_curve(prior, [s])
+            assert channel.mutual_info_eval(prior, s) == (curve[0], mode)
+            assert channel.mutual_info_eval(prior, [s])[0][0] == curve[0]
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-16], ids=["quadrature", "surrogate"])
+    def test_float_in_float_out(self, eps):
+        prior = two_point(eps)
+        for s in (0.3, np.float64(0.3)):
+            assert type(channel.mutual_info_eval(prior, s)[0]) is float
+            assert type(potential(1.0, 5.0, prior, s)) is float
+        i_vals, _ = channel.mutual_info_eval(prior, [0.0, 0.3])
+        assert isinstance(i_vals, np.ndarray) and i_vals.shape == (2,) and i_vals[0] == 0.0
+        f_vals = potential(1.0, 5.0, prior, np.array([0.3, 4.0]))
+        assert isinstance(f_vals, np.ndarray) and f_vals.shape == (2,)
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-16], ids=["quadrature", "surrogate"])
+    def test_nonpositive_entry_is_rejected(self, eps):
+        prior = two_point(eps)
+        for bad in (0.0, -0.5, math.nan):
+            for s in (bad, np.array([0.3, bad, 4.0])):
+                with pytest.raises(ValueError, match="s must be positive"):
+                    potential(1.0, 5.0, prior, s)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            channel.mutual_info_eval(prior, [0.3, -1.0])
 
 
 class TestPotentialDerivative:
@@ -265,6 +343,15 @@ class TestSmallestStationary:
                      lambda: minimize(delta, snr, prior),
                      lambda: potential_deriv(delta, snr, prior, 1e-310)):
             with pytest.raises(ValueError, match=r"^delta\*snr = .* smallest normal double"):
+                call()
+
+    def test_subnormal_snr_is_rejected(self):
+        # 1/snr overflows.  delta*snr = 1e-300 is normal, so snr is named itself.
+        prior = two_point(0.1)
+        for call in (lambda: amp_threshold_ratio(1e-310),
+                     lambda: smallest_stationary(1e10, 1e-310, prior),
+                     lambda: potential(1e10, 1e-310, prior, 1.0)):
+            with pytest.raises(ValueError, match=r"^snr = 1e-310 is below the smallest normal"):
                 call()
 
     def test_fixed_point_residual(self):
