@@ -273,7 +273,12 @@ def run_amp(instance: RegressionInstance, prior: DiscretePrior,
 def mc_mmse(prior: DiscretePrior, s: float, samples: int, seed: int):
     """Monte Carlo estimate of M(s) by simulating the posterior-mean error.
 
-    Returns ``(estimate, standard_error)``.
+    Returns ``(estimate, standard_error)``.  The standard error is the
+    central-limit one, the sample standard deviation over sqrt(samples), and
+    it understates the error when M rests on a few rare draws: for atoms
+    (-28.267, -14.112, 0.0425) with weights (0.001, 0.001, 0.998) at s = 0.3435,
+    M = 1.2637e-4, but 20000 samples give 3.0e-6 +- 3.0e-6.  For two-point
+    priors, :func:`mc_mmse_two_point` averages the closed-form expectation.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")

@@ -378,16 +378,21 @@ def _snr_grid(s_values) -> np.ndarray:
     return s_arr
 
 
-def _curve(s_values, at_zero: float, fn) -> np.ndarray:
-    """``at_zero`` where s = 0, and ``fn`` on the positive entries of the s grid,
-    ``_CHUNK`` at a time."""
+def _curve(s_values, at_zero: float, fn):
+    """``at_zero`` where s = 0, and ``fn`` on the positive entries of s, ``_CHUNK``
+    at a time in flat order.
+
+    This is the one shape rule of the channel layer: s is a float or an array of
+    any shape, a 0-d s gives a float and any other s an array of its shape.
+    """
     s_arr = _snr_grid(s_values)
-    out = np.full_like(s_arr, at_zero)
-    idx = np.flatnonzero(s_arr > 0.0)
+    flat = s_arr.ravel()
+    out = np.full_like(flat, at_zero)
+    idx = np.flatnonzero(flat > 0.0)
     for k in range(0, idx.size, _CHUNK):
         sel = idx[k:k + _CHUNK]
-        out[sel] = fn(s_arr[sel])
-    return out
+        out[sel] = fn(flat[sel])
+    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
 
 
 def _mi_tol(prior: DiscretePrior) -> float:
@@ -398,18 +403,9 @@ def _mi_tol(prior: DiscretePrior) -> float:
     return min(QUAD_TOL, max(1e-13, 1e-4 * h))
 
 
-def mmse(prior: DiscretePrior, s: float) -> float:
-    """MMSE of estimating beta0 from sqrt(s)*beta0 + N, in [0, 1].
-
-    Exact for two-atom priors.  For more atoms, raises :class:`QuadratureError`
-    if the adaptive node ladder cannot reach ``QUAD_TOL`` agreement between
-    successive refinements.
-    """
-    return float(mmse_curve(prior, [s])[0])
-
-
-def mmse_curve(prior: DiscretePrior, s_values, *, nodes: int | None = None) -> np.ndarray:
-    """Vectorized :func:`mmse` over a grid of s values.
+def mmse_curve(prior: DiscretePrior, s_values, *, nodes: int | None = None):
+    """MMSE of estimating beta0 from sqrt(s)*beta0 + N, in [0, 1], at s (see
+    :func:`_curve` for the shape rule).
 
     Two-atom priors go through the exact :func:`_mmse_two_point`, point by
     point; priors with more atoms climb the node ladder per chunk of ``_CHUNK``
@@ -426,22 +422,21 @@ def mmse_curve(prior: DiscretePrior, s_values, *, nodes: int | None = None) -> n
     return _curve(s_values, float(prior.weight_array @ (prior.atom_array ** 2)), fn)
 
 
-def mutual_info(prior: DiscretePrior, s: float) -> float:
-    """Mutual information between beta0 and sqrt(s)*beta0 + N, in nats.
+def mutual_info_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL,
+                      nodes: int | None = None):
+    """Mutual information between beta0 and sqrt(s)*beta0 + N, in nats, at s,
+    with the node ladder run to absolute ``tol``.
 
     The direct path is entropy quadrature over the mixture output; the
     integral of M is used only as an independent cross-check in the tests.
-    """
-    return float(mutual_info_curve(prior, [s])[0])
-
-
-def mutual_info_curve(prior: DiscretePrior, s_values, *, tol: float = QUAD_TOL,
-                      nodes: int | None = None) -> np.ndarray:
-    """I on a grid of s values, with the node ladder run to absolute ``tol``.
-
     ``nodes`` pins a fixed quadrature order, as in :func:`mmse_curve`.
     """
     return _curve(s_values, 0.0, functools.partial(_ladder, _mi_nodes, prior, tol, nodes))
+
+
+# The scalar names are the 0-d case of the curves.
+mmse = mmse_curve
+mutual_info = mutual_info_curve
 
 
 def mmse_q_approx(epsilon: float, s):
@@ -458,13 +453,12 @@ def mmse_q_approx(epsilon: float, s):
     arg = (s_arr - 2.0 * epsilon * math.log(1.0 / epsilon)) \
         / (2.0 * np.sqrt(s_arr) * math.sqrt(epsilon))
     out = 0.5 * _numerics.erfc(arg / math.sqrt(2.0))      # standard normal upper tail Q(arg)
-    if np.ndim(s) == 0:
-        return float(out)
-    return out
+    return float(out) if s_arr.ndim == 0 else out
 
 
-def mutual_info_q_approx(epsilon: float, s: float) -> float:
-    """Mutual information implied by the tail surrogate via I(s) = (1/2) int_0^s M.
+def mutual_info_q_approx(epsilon: float, s):
+    """Mutual information implied by the tail surrogate via I(s) = (1/2) int_0^s M,
+    at s (see :func:`_curve` for the shape rule), each point integrated on its own.
 
     Only for the spike weights :func:`approx_epsilon` routes here, 0 < epsilon
     < ``APPROX_EPSILON``.  The integral stops at s_end <= 5.1e-10, where the
@@ -480,14 +474,15 @@ def mutual_info_q_approx(epsilon: float, s: float) -> float:
     if not 0.0 < epsilon < APPROX_EPSILON:
         raise ValueError(f"epsilon must lie in (0, APPROX_EPSILON={APPROX_EPSILON:g}), "
                          f"got {epsilon!r}")
-    s = float(_snr_grid(s))
-    if s == 0.0:
-        return 0.0
     s0 = 2.0 * epsilon * math.log(1.0 / epsilon)
     s_end = (10.0 * math.sqrt(epsilon) + math.sqrt(100.0 * epsilon + s0)) ** 2
-    s = min(s, s_end)
-    edges = [0.0, s0, s] if s0 < s else [0.0, s]
-    return 0.5 * _numerics.quad(lambda u: mmse_q_approx(epsilon, u), edges)
+
+    def integral(s):
+        s = min(float(s), s_end)
+        edges = [0.0, s0, s] if s0 < s else [0.0, s]
+        return 0.5 * _numerics.quad(lambda u: mmse_q_approx(epsilon, u), edges)
+
+    return _curve(s, 0.0, lambda chunk: [integral(v) for v in chunk])
 
 
 def approx_epsilon(prior: DiscretePrior):
@@ -498,35 +493,23 @@ def approx_epsilon(prior: DiscretePrior):
     return None
 
 
-def mmse_eval(prior: DiscretePrior, s: float):
-    """M(s) together with the evaluation-mode tag ('quadrature' or 'approx')."""
-    m_vals, mode = mmse_eval_curve(prior, [s])
-    return float(m_vals[0]), mode
-
-
 def mutual_info_eval(prior: DiscretePrior, s):
-    """I(s) together with the evaluation-mode tag; a float in gives a float
-    out, an array in gives an array out.
+    """I(s) together with the evaluation-mode tag, with each point of s
+    evaluated as if alone, not as a curve point.
 
-    Each point is evaluated as if alone, not as a curve point: on the
-    surrogate path it is :func:`mutual_info_q_approx`, which is tighter than
-    the trapezoid of the curve version, and on the quadrature path it climbs
-    the node ladder to ``_mi_tol(prior)`` on its own (see :func:`_ladder`).
+    On the surrogate path it is :func:`mutual_info_q_approx`, which is tighter
+    than the trapezoid of the curve version, and on the quadrature path it
+    climbs the node ladder to ``_mi_tol(prior)`` on its own (see :func:`_ladder`).
     """
-    s_arr = _snr_grid(s)
     eps = approx_epsilon(prior)
     if eps is not None:
-        i_vals = np.array([mutual_info_q_approx(eps, v) for v in s_arr.ravel()])
-        mode = MODE_APPROX
-    else:
-        i_vals = _curve(s_arr.ravel(), 0.0, functools.partial(
-            _ladder, _mi_nodes, prior, _mi_tol(prior), None, per_point=True))
-        mode = MODE_QUADRATURE
-    return (float(i_vals[0]) if s_arr.ndim == 0 else i_vals.reshape(s_arr.shape)), mode
+        return mutual_info_q_approx(eps, s), MODE_APPROX
+    return _curve(s, 0.0, functools.partial(_ladder, _mi_nodes, prior, _mi_tol(prior), None,
+                                            per_point=True)), MODE_QUADRATURE
 
 
 def mmse_eval_curve(prior: DiscretePrior, s_values):
-    """M on an s grid plus the mode tag.  This and :func:`mutual_info_eval_curve`
+    """M at s plus the mode tag.  This and :func:`mutual_info_eval_curve`
     route a prior to quadrature or to the tail surrogate for the other layers,
     and fix the accuracy: M as in :func:`mmse_curve`, I to :func:`_mi_tol` of
     the prior."""
@@ -536,12 +519,14 @@ def mmse_eval_curve(prior: DiscretePrior, s_values):
     return mmse_curve(prior, s_values), MODE_QUADRATURE
 
 
+mmse_eval = mmse_eval_curve
+
+
 def mutual_info_eval_curve(prior: DiscretePrior, s_values, *, tol: float | None = None):
-    """I on an s grid plus the mode tag (see :func:`mmse_eval_curve`); ``tol``
+    """I at s plus the mode tag (see :func:`mmse_eval_curve`); ``tol``
     overrides the quadrature tolerance, which is otherwise ``_mi_tol(prior)``."""
     eps = approx_epsilon(prior)
     if eps is not None:
-        s_arr = _snr_grid(s_values)
         # Cumulative trapezoid of the surrogate on 8192 even steps of [0, max s],
         # then interpolate: far cheaper than one adaptive integral per point, but
         # accurate only while the step max(s)/8191 is far below the transition
@@ -549,15 +534,12 @@ def mutual_info_eval_curve(prior: DiscretePrior, s_values, *, tol: float | None 
         # 1/13 of the width already errs by ~1% of H.  A step wider than s0
         # swallows the transition, and I comes out as s/4 up to one step, then
         # flat at step/4, instead of H.
-        s_hi = float(s_arr.max(initial=0.0))
-        if s_hi == 0.0:
-            return np.zeros_like(s_arr), MODE_APPROX
-        base = np.linspace(0.0, s_hi, 8192)
-        m = np.empty_like(base)
-        m[0] = 1.0
-        m[1:] = mmse_q_approx(eps, base[1:])
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (m[1:] + m[:-1]) * np.diff(base))])
-        return 0.5 * np.interp(s_arr, base, cum), MODE_APPROX
+        base = np.linspace(0.0, float(_snr_grid(s_values).max(initial=0.0)), 8192)
+        cum = np.zeros_like(base)
+        if base[-1] > 0.0:
+            m = np.concatenate([[1.0], mmse_q_approx(eps, base[1:])])
+            cum[1:] = np.cumsum(0.5 * (m[1:] + m[:-1]) * np.diff(base))
+        return _curve(s_values, 0.0, lambda s: 0.5 * np.interp(s, base, cum)), MODE_APPROX
     tol = _mi_tol(prior) if tol is None else tol
     return mutual_info_curve(prior, s_values, tol=tol), MODE_QUADRATURE
 
@@ -575,10 +557,10 @@ class ChannelCurve:
 
 def channel_curve(prior: DiscretePrior, s_grid) -> ChannelCurve:
     """Tabulate I and M on an increasing grid of s values."""
-    s_arr = np.asarray(s_grid, dtype=float)
-    if s_arr.size == 0:
-        raise ValueError("s grid must be non-empty")
-    if s_arr.size > 1 and not np.all(np.diff(s_arr) > 0):
+    s_arr = _snr_grid(s_grid)
+    if s_arr.ndim != 1 or s_arr.size == 0:
+        raise ValueError(f"s grid must be a non-empty 1-D array, got shape {s_arr.shape}")
+    if not np.all(np.diff(s_arr) > 0):
         raise ValueError("s grid must be strictly increasing")
     # QUAD_TOL, not _mi_tol: the committed channel/figure1 references use it.
     i_vals, mode = mutual_info_eval_curve(prior, s_arr, tol=QUAD_TOL)

@@ -75,25 +75,26 @@ def _t_grid(t_values) -> np.ndarray:
     return t_arr
 
 
-def _positive_s(s) -> np.ndarray:
+def _positive_s(s):
+    """s as a float if it is 0-d, else as a float array, after checking s > 0."""
     s_arr = np.asarray(s, dtype=float)
     if not np.all(s_arr > 0.0):
         raise ValueError(f"s must be positive, got {s!r}")
-    return s_arr
+    return float(s_arr) if s_arr.ndim == 0 else s_arr
 
 
 def potential(delta: float, snr: float, prior: DiscretePrior, s):
     """Potential value F(s); raises ValueError at s <= 0 (log singularity).
 
-    Vectorized over ``s`` as :func:`potential_deriv` is.  I comes from
-    :func:`channel.mutual_info_eval`, so each point of an array gets the
-    value a scalar call at that point gives, up to the rounding of BLAS's
-    node sums.
+    s is a float or an array of any shape, as in the channel layer (a float in
+    gives a float out).  I comes from :func:`channel.mutual_info_eval`, so each
+    point of an array gets the value a scalar call at that point gives, up to
+    the rounding of BLAS's node sums.
     """
     _check_params(delta, snr)
-    s_arr = _positive_s(s)
+    s = _positive_s(s)
     i_vals, _ = channel.mutual_info_eval(prior, s)
-    return i_vals + 0.5 * delta * _logdiv(s_arr / (delta * snr))
+    return i_vals + 0.5 * delta * _logdiv(s / (delta * snr))
 
 
 def _residual(delta, snr, s, m):
@@ -105,14 +106,13 @@ def potential_deriv(delta: float, snr: float, prior: DiscretePrior, s):
     """Exact derivative F'(s): the stationary residual s*(M(s) + 1/snr) - delta over 2s.
 
     Exactness follows from I'(s) = M(s)/2 on the scalar channel, so this
-    avoids differencing quadrature output.  Vectorized over ``s``: a float in
-    gives a float out, an array in gives an array out.
+    avoids differencing quadrature output.  Vectorized over ``s`` as
+    :func:`potential` is.
     """
     _check_params(delta, snr)
-    s_arr = _positive_s(s)
-    m_vals, _ = channel.mmse_eval_curve(prior, np.atleast_1d(s_arr))
-    out = _residual(delta, snr, s_arr, m_vals) / (2.0 * s_arr)
-    return float(out[0]) if s_arr.ndim == 0 else out
+    s = _positive_s(s)
+    m_vals, _ = channel.mmse_eval_curve(prior, s)
+    return _residual(delta, snr, s, m_vals) / (2.0 * s)
 
 
 @dataclass
@@ -251,21 +251,15 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
                               (lo, hi), multi, s_best)
 
 
-def normalized_potential(epsilon: float, r: float, snr: float, t: float) -> float:
-    """Potential rescaled by the prior entropy: F(2*H*t)/H.
+def normalized_curve(epsilon: float, r: float, snr: float, t_values):
+    """Potential rescaled by the prior entropy, F(2*H*t)/H, at t (a float in
+    gives a float out, an array keeps its shape).
 
     The undersampling ratio is set internally to r times the information
     threshold, i.e. delta = 2*r*H/ln(1+snr), so curves for different epsilon
-    are directly comparable on the t axis.
-    """
-    return float(normalized_curve(epsilon, r, snr, [t])[0])
-
-
-def normalized_curve(epsilon: float, r: float, snr: float, t_values) -> np.ndarray:
-    """Normalized potential on a grid of t values (vectorized).
-
-    By I' = M/2 the normalized information is I(2*H*t)/H, so the curve is the
-    channel layer's information rescaled by 2*H, plus the rescaled penalty.
+    are directly comparable on the t axis.  By I' = M/2 the normalized
+    information is I(2*H*t)/H, so the curve is the channel layer's information
+    rescaled by 2*H, plus the rescaled penalty.
     """
     t_arr = _t_grid(t_values)
     _check_params(r, snr, "r")
@@ -275,8 +269,12 @@ def normalized_curve(epsilon: float, r: float, snr: float, t_values) -> np.ndarr
     return i_vals / h + (r / c) * _logdiv(t_arr * c / (r * snr))
 
 
+normalized_potential = normalized_curve
+
+
 def normalized_argmin(epsilon: float, r: float, snr: float) -> float:
     """Location (in t) of the global minimum of the normalized potential."""
+    _check_params(r, snr, "r")
     h = two_point_entropy(epsilon)
     c = math.log1p(snr)
     prior = two_point(epsilon)
@@ -306,6 +304,7 @@ def normalized_smallest_stationary(epsilon: float, r: float, snr: float) -> floa
     ``r`` is the ratio of the undersampling ratio to the information
     threshold, exactly as in :func:`normalized_potential`.
     """
+    _check_params(r, snr, "r")
     h = two_point_entropy(epsilon)
     delta = 2.0 * r * h / math.log1p(snr)
     return smallest_stationary(delta, snr, two_point(epsilon)) / (2.0 * h)

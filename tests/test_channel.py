@@ -16,6 +16,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import logsumexp, xlogy
 
+import rsphase
 from rsphase import channel
 from rsphase.amp import mc_mmse, mc_mmse_two_point
 from rsphase.channel import (
@@ -31,8 +32,13 @@ from rsphase.channel import (
     mutual_info_eval,
     mutual_info_q_approx,
 )
-from rsphase.potential import normalized_curve, normalized_smallest_stationary, potential
-from rsphase.prior import DiscretePrior, entropy, two_point, two_point_entropy
+from rsphase.potential import (
+    normalized_curve,
+    normalized_potential,
+    normalized_smallest_stationary,
+    potential,
+)
+from rsphase.prior import DiscretePrior, entropy, two_point, two_point_entropy, two_point_epsilon
 from rsphase.thresholds import l_constant
 
 THREE_ATOM = DiscretePrior(
@@ -388,6 +394,21 @@ class TestScalarWrappers:
             assert mutual_info(prior, s) == mutual_info_curve(prior, [s])[0]
             m_vals, mode = channel.mmse_eval_curve(prior, [s])
             assert mmse_eval(prior, s) == (m_vals[0], mode)
+        eps = two_point_epsilon(prior)
+        for t in (0.3, 1.0, 2.2):
+            assert normalized_potential(eps, 1.1, 5.0, t) == normalized_curve(eps, 1.1, 5.0,
+                                                                              [t])[0]
+
+    def test_scalar_names_are_the_curves(self):
+        # The scalar names are aliases, not wrappers: a float is the 0-d case.
+        assert channel.mmse is channel.mmse_curve
+        assert channel.mutual_info is channel.mutual_info_curve
+        assert channel.mmse_eval is channel.mmse_eval_curve
+        assert normalized_potential is normalized_curve
+        assert rsphase.mmse is channel.mmse_curve
+        assert rsphase.mutual_info is channel.mutual_info_curve
+        assert rsphase.mmse_eval is channel.mmse_eval_curve
+        assert rsphase.normalized_potential is normalized_curve
 
 
 class TestBinaryFastPath:

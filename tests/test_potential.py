@@ -519,6 +519,23 @@ class TestNormalizedSearch:
         assert normalized_argmin(1e-16, 0.9, 5.0) < 1.0
         assert normalized_argmin(1e-16, 1.1, 5.0) > 1.0
 
+    # Each search checks (r, snr) before it derives delta from them, so the
+    # message names the input the caller passed, not delta or the t grid.
+    @pytest.mark.parametrize("search", [normalized_argmin, normalized_smallest_stationary])
+    def test_negative_r_is_named(self, search):
+        with pytest.raises(ValueError, match=r"^r must be positive, got -1$"):
+            search(0.1, -1, 5)
+
+    @pytest.mark.parametrize("search", [normalized_argmin, normalized_smallest_stationary])
+    def test_infinite_snr_is_named(self, search):
+        with pytest.raises(ValueError, match=r"^snr must be positive and finite, got inf$"):
+            search(0.1, 1.1, math.inf)
+
+    @pytest.mark.parametrize("search", [normalized_argmin, normalized_smallest_stationary])
+    def test_negative_r_is_named_on_the_surrogate_path(self, search):
+        with pytest.raises(ValueError, match=r"^r must be positive, got -1$"):
+            search(1e-16, -1, 5)
+
     def test_approx_mode_stationary(self):
         t_low = normalized_smallest_stationary(1e-16, 0.5, 5.0)
         assert 0.0 < t_low < 1.0

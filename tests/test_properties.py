@@ -9,9 +9,11 @@ smallest stationary point is checked on two-point priors with eps in
 Two-point spike weights are split at ``channel.APPROX_EPSILON`` into the
 quadrature route and the tail-surrogate route; together they cover the whole
 range.  Examples are derandomized and no example database is kept, so every
-run checks the same cases.
+run checks the same cases.  The module ends with the shape contract of every
+function of s or t, on fixed inputs.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,11 +21,12 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from rsphase import channel
+from rsphase import channel, potential
 from rsphase._numerics import brentq
 from rsphase.amp import mc_mmse
 from rsphase.potential import SCAN_POINTS, BracketError, smallest_stationary, stationary_bracket
-from rsphase.prior import DiscretePrior, entropy, two_point, two_point_entropy
+from rsphase.prior import (DiscretePrior, entropy, two_point, two_point_entropy,
+                           two_point_epsilon)
 from rsphase.thresholds import delta_amp
 
 S = np.geomspace(1e-3, 50.0, 64)
@@ -230,3 +233,80 @@ def test_smallest_stationary_matches_full_scan(eps, snr, r):
             smallest_stationary(delta, snr, two_point(eps))
     else:
         assert smallest_stationary(delta, snr, two_point(eps)) == root
+
+
+# The shape contract: every function that takes s or t takes a float or an
+# array of any shape.  A float or a 0-d array gives a float, any other array an
+# array of its shape, whose values are those of the call on the raveled array.
+SHAPE_PRIORS = {"eps0.1": two_point(0.1), "eps1e-16": two_point(1e-16), "ternary": TERNARY}
+# potential_deriv(1, 5, two_point(0.1), GRID_2D) used to raise IndexError: the
+# curves indexed a 2-D s with flat indices.
+GRID_2D = np.array([[0.5, 1.0], [2.0, 3.0]])
+
+
+def _s_and_t_functions(prior):
+    """Name and one-argument form of every function of s or t, for ``prior``."""
+    delta, snr, r = 1.0, 5.0, 1.1
+    fns = {
+        "mmse_curve": functools.partial(channel.mmse_curve, prior),
+        "mutual_info_curve": functools.partial(channel.mutual_info_curve, prior),
+        "mmse": functools.partial(channel.mmse, prior),
+        "mutual_info": functools.partial(channel.mutual_info, prior),
+        "mmse_eval_curve": lambda s: channel.mmse_eval_curve(prior, s)[0],
+        "mmse_eval": lambda s: channel.mmse_eval(prior, s)[0],
+        "mutual_info_eval_curve": lambda s: channel.mutual_info_eval_curve(prior, s)[0],
+        "mutual_info_eval": lambda s: channel.mutual_info_eval(prior, s)[0],
+        "potential": functools.partial(potential.potential, delta, snr, prior),
+        "potential_deriv": functools.partial(potential.potential_deriv, delta, snr, prior),
+        "limit_potential": functools.partial(potential.limit_potential, r, snr),
+    }
+    eps = two_point_epsilon(prior)
+    if eps is not None:
+        fns["mmse_q_approx"] = functools.partial(channel.mmse_q_approx, eps)
+        fns["normalized_curve"] = functools.partial(potential.normalized_curve, eps, r, snr)
+        fns["normalized_potential"] = functools.partial(potential.normalized_potential,
+                                                        eps, r, snr)
+    if channel.approx_epsilon(prior) is not None:
+        fns["mutual_info_q_approx"] = functools.partial(channel.mutual_info_q_approx, eps)
+    return fns
+
+
+@pytest.mark.parametrize("prior", SHAPE_PRIORS.values(), ids=SHAPE_PRIORS.keys())
+def test_float_or_0d_array_in_gives_float_out(prior):
+    for name, fn in _s_and_t_functions(prior).items():
+        value, zero_d = fn(0.5), fn(np.array(0.5))
+        assert type(value) is float and type(zero_d) is float, name
+        assert zero_d == value, name
+
+
+@pytest.mark.parametrize("prior", SHAPE_PRIORS.values(), ids=SHAPE_PRIORS.keys())
+def test_arrays_keep_their_shape(prior):
+    for name, fn in _s_and_t_functions(prior).items():
+        flat = fn(GRID_2D.ravel())
+        assert isinstance(flat, np.ndarray) and flat.shape == (GRID_2D.size,), name
+        grid = fn(GRID_2D)
+        assert isinstance(grid, np.ndarray) and grid.shape == GRID_2D.shape, name
+        assert np.array_equal(grid, flat.reshape(GRID_2D.shape)), name
+        assert np.array_equal(fn(GRID_2D.tolist()), grid), name
+
+
+@pytest.mark.parametrize("prior", SHAPE_PRIORS.values(), ids=SHAPE_PRIORS.keys())
+def test_curves_take_zeros_anywhere_in_an_array(prior):
+    # s = 0 takes the curve's value at zero; the positive entries are evaluated
+    # in flat order, whatever the shape.
+    s = np.array([[0.0, 1.0], [2.0, 0.0]])
+    for curve, at_zero in ((channel.mmse_curve, 1.0), (channel.mutual_info_curve, 0.0)):
+        out = curve(prior, s)
+        assert out.shape == s.shape
+        assert out[0, 0] == out[1, 1] == pytest.approx(at_zero, abs=1e-15)
+        assert np.array_equal(out[[0, 1], [1, 0]], curve(prior, [1.0, 2.0]))
+
+
+@pytest.mark.parametrize("grid, message", [
+    (GRID_2D, "1-D array"), (1.0, "1-D array"), (np.array(1.0), "1-D array"), ([], "1-D array"),
+    ([1.0, 1.0], "strictly increasing"), ([2.0, 1.0], "strictly increasing"),
+    ([1.0, math.nan], "finite and nonnegative")],
+    ids=["2-D", "float", "0-d", "empty", "repeated", "decreasing", "nan"])
+def test_channel_curve_needs_a_1d_increasing_grid(grid, message):
+    with pytest.raises(ValueError, match=message):
+        channel.channel_curve(two_point(0.1), grid)
