@@ -278,7 +278,8 @@ def mc_mmse(prior: DiscretePrior, s: float, samples: int, seed: int):
     it understates the error when M rests on a few rare draws: for atoms
     (-28.267, -14.112, 0.0425) with weights (0.001, 0.001, 0.998) at s = 0.3435,
     M = 1.2637e-4, but 20000 samples give 3.0e-6 +- 3.0e-6.  For two-point
-    priors, :func:`mc_mmse_two_point` averages the closed-form expectation.
+    priors, :func:`mc_mmse_two_point` averages the closed-form expectation; it
+    has the same limit where M is small.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
@@ -301,7 +302,13 @@ def mc_mmse_two_point(epsilon: float, s: float, samples: int, seed: int):
     """Monte Carlo of the closed-form two-point MMSE expectation.
 
     Averages 1 / (1 - eps + eps * exp(s/(2 eps (1-eps)) + sqrt(s/(eps(1-eps))) N))
-    over standard normal draws.  Returns ``(estimate, standard_error)``.
+    over standard normal draws.  Returns ``(estimate, standard_error)``.  The
+    standard error is the central-limit one, and as in :func:`mc_mmse` it
+    understates the error when M rests on a few rare draws.  Past the
+    transition that is so: for eps = 4.8587e-11 at t = s/2H = 4.0992,
+    M = 3.166e-8, but 10^5 samples give 1.1e-11 +- 1.1e-11.  For eps in
+    [1e-12, 0.5] and t in [0.03, 5], 10^5 samples lie within 4 standard
+    errors wherever M >= 1e-4.
     """
     _check_epsilon(epsilon)
     if samples < 1:

@@ -92,15 +92,15 @@ class SweepSpec:
                 raise SpecError(f"{names[0]}: {self.mode} mode requires "
                                 + " or ".join(names))
         if self.mode == "phase":
-            for e in self.epsilons:
-                if not 0.0 < e < 1.0:
-                    raise SpecError(f"epsilons: value {e!r} outside (0, 1)")
-            for v in self.snrs:
-                if not v > 0.0:
-                    raise SpecError(f"snrs: value {v!r} must be positive")
-            for k in self.kinds:
-                if k not in ("mmse", "amp"):
-                    raise SpecError(f"kinds: {k!r} is not 'mmse' or 'amp'")
+            # The rules the cells apply, so a bad value stops the sweep here and
+            # does not fail every cell it is in.  The rules on r stay cell errors.
+            for name, check in (("epsilons", two_point), ("snrs", potential._check_snr),
+                                ("kinds", thresholds._check_kind)):
+                for value in getattr(self, name):
+                    try:
+                        check(value)
+                    except ValueError as exc:
+                        raise SpecError(f"{name}: {exc}") from None
         if self.mode == "amp":
             for name in ("p", "delta", "snr", "n_seeds", "t_max"):
                 value = getattr(self, name)

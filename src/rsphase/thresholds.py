@@ -20,6 +20,11 @@ KIND_MMSE = "mmse"
 KIND_AMP = "amp"
 
 
+def _check_kind(kind):
+    if kind not in (KIND_MMSE, KIND_AMP):
+        raise ValueError(f"kind must be 'mmse' or 'amp', got {kind!r}")
+
+
 def _check_h_snr(h, snr):
     if not 0.0 < h < math.inf:
         raise ValueError(f"entropy h must be positive and finite, got {h!r}")
@@ -78,8 +83,7 @@ def transition_check(epsilon: float, snr: float, r: float, kind: str) -> float:
     potential._check_snr(snr)
     if not r > 0.0 or r == 1.0:
         raise ValueError(f"r must lie in (0,1) or (1,inf), got {r!r}")
-    if kind not in (KIND_MMSE, KIND_AMP):
-        raise ValueError(f"kind must be 'mmse' or 'amp', got {kind!r}")
+    _check_kind(kind)
     # The algorithmic scaling is the same landscape with r multiplied by the
     # threshold ratio; both landmarks come back in t = s/2H units.
     if kind == KIND_AMP:

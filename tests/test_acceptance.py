@@ -10,6 +10,9 @@ import time
 
 import numpy as np
 import pytest
+
+pytest.importorskip("scipy")
+
 from scipy.integrate import quad
 
 from rsphase import amp

@@ -13,6 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+
+pytest.importorskip("scipy")
+
 from scipy.integrate import quad
 from scipy.special import logsumexp, xlogy
 

@@ -529,6 +529,16 @@ class TestSelftest:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    def test_failure_exits_1(self, capsys, monkeypatch):
+        def check_fails():
+            raise AssertionError("gap 1.0e+00")
+
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: [check_fails])
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == "FAIL check_fails: gap 1.0e+00\n"
+
 
 class TestSpecValidation:
     def test_mode_required_fields(self):
@@ -590,6 +600,26 @@ class TestSpecValidation:
         assert rc == 2
         assert err.startswith("config error: delta: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    # Values every cell would reject are checked by the rule the cells apply:
+    # a subnormal snr, an epsilon whose spike atom overflows, an unknown kind.
+    @pytest.mark.parametrize("field, flags, message", [
+        ("snrs", ["--epsilons", "0.01", "--snrs", "1e-310", "--kinds", "amp"],
+         "below the smallest normal double"),
+        ("epsilons", ["--epsilons", "1e-320", "--snrs", "5", "--kinds", "amp"],
+         "spike atom sqrt((1-eps)/eps) overflows"),
+        ("kinds", ["--epsilons", "0.01", "--snrs", "5", "--kinds", "mmse,both"],
+         "kind must be 'mmse' or 'amp', got 'both'"),
+    ], ids=["subnormal-snr", "overflowing-epsilon", "unknown-kind"])
+    def test_phase_value_every_cell_rejects_is_one_config_error_line(
+            self, field, flags, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["phase", *flags, "--rs", "0.5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+        assert message in err
+        assert not (out / "phase.csv").exists()
 
     def test_hash_stable_under_out_and_jobs(self):
         a = SweepSpec(mode="channel", epsilon=0.1, out="x", jobs=1)

@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+pytest.importorskip("scipy")
+
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import erfc, roots_hermite

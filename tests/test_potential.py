@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 import pytest
+
+pytest.importorskip("scipy")
+
 from scipy.optimize import brentq
 
 from rsphase import channel
