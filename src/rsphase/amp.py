@@ -10,9 +10,8 @@ tests exploit.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +94,7 @@ def _se_run(prior, delta, snr, t_max, tol=None):
     ``m[t] = M(s[t])``.  Runs ``t_max`` steps, or stops after the first step
     within ``tol`` relative of its start (``tol=None`` never stops early).
     """
-    potential._check_params(delta, snr)
+    delta, snr = potential._check_params(delta, snr)
     s = [delta * snr / (1.0 + snr)]
     m = []
     for _ in range(t_max):
@@ -115,13 +114,6 @@ def se_sequence(prior: DiscretePrior, delta: float, snr: float, t_max: int) -> n
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max!r}")
     return _se_run(prior, delta, snr, t_max)[0]
-
-
-@functools.lru_cache(maxsize=32)
-def _se_reference(prior, delta, snr, t_max):
-    """``t_max`` SE steps as ``(se_snr, se_mse)``; shorter runs are prefixes (callers copy)."""
-    s, m = _se_run(prior, delta, snr, t_max)
-    return s, np.concatenate([[1.0], m])
 
 
 def state_evolution(prior: DiscretePrior, delta: float, snr: float,
@@ -150,15 +142,12 @@ class AmpTrace:
     """Per-iteration record of one AMP run.
 
     ``mse[t]`` is the empirical estimate MSE at iteration t (t = 0 is the zero
-    initialization), ``residual_var[t]`` the residual power used as the
-    denoiser noise level, and ``se_snr``/``se_mse`` the state-evolution
-    effective SNR and predicted MSE aligned to the same index.
+    initialization) and ``residual_var[t]`` the residual power used as the
+    denoiser noise level.
     """
 
     mse: np.ndarray
     residual_var: np.ndarray
-    se_snr: np.ndarray
-    se_mse: np.ndarray
     iterations: int
     converged: bool
     prior_mismatch: bool
@@ -166,9 +155,7 @@ class AmpTrace:
     seed: int
 
     def __post_init__(self):
-        lengths = {len(self.mse), len(self.residual_var), len(self.se_snr),
-                   len(self.se_mse)}
-        if lengths != {self.iterations + 1}:
+        if {len(self.mse), len(self.residual_var)} != {self.iterations + 1}:
             raise ValueError("trace arrays must all have length iterations + 1")
 
 
@@ -181,16 +168,14 @@ def _priors_match(a: DiscretePrior, b: DiscretePrior) -> bool:
 
 def run_amp(instance: RegressionInstance, prior: DiscretePrior,
             t_max: int = AMP_T_MAX, *, onsager: bool = True) -> AmpTrace:
-    """Run MMSE-AMP on an instance and record empirical and predicted MSE.
+    """Run MMSE-AMP on an instance and record its empirical MSE.
 
     The iteration is that of the design scaled by 1/sqrt(n), so column norms
     are O(1); the (delta, snr) parameterization is invariant under this.  The
     scale is folded into the vectors, so no copy of ``instance.x`` is made.
     The effective noise level is estimated from the residual power each
-    iteration so the algorithm remains a genuine estimator.  State evolution,
-    computed once per (prior, delta, snr, t_max) and shared across runs, is
-    purely the reference prediction.  The iteration is deterministic given
-    the instance, whose seed is echoed into the trace.
+    iteration so the algorithm remains a genuine estimator.  The iteration is
+    deterministic given the instance, whose seed is echoed into the trace.
 
     A zero residual ends the run as converged.  Estimation with a prior
     different from the one that generated the instance is allowed and flagged
@@ -249,19 +234,9 @@ def run_amp(instance: RegressionInstance, prior: DiscretePrior,
         else:
             stall = 0
 
-    snr = instance.snr
-    if math.isfinite(snr):
-        se_snr, se_mse = (a[:t_done + 1].copy()
-                          for a in _se_reference(prior, delta, snr, t_max))
-    else:
-        se_snr = np.full(t_done + 1, np.nan)
-        se_mse = np.full(t_done + 1, np.nan)
-
     return AmpTrace(
         mse=np.asarray(mse),
         residual_var=np.asarray(residual_var),
-        se_snr=se_snr,
-        se_mse=se_mse,
         iterations=t_done,
         converged=converged,
         prior_mismatch=not _priors_match(prior, instance.prior),
@@ -310,7 +285,7 @@ def mc_mmse_two_point(epsilon: float, s: float, samples: int, seed: int):
     [1e-12, 0.5] and t in [0.03, 5], 10^5 samples lie within 4 standard
     errors wherever M >= 1e-4.
     """
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     channel._snr_grid(s)

@@ -133,12 +133,13 @@ def _two_point_log_odds(prior: DiscretePrior, s_arr: np.ndarray):
 
     Under atom j the posterior log-odds of the other atom are c_j + B*z up to
     the sign of z ~ N(0,1), with c_j = log(w_other/w_j) - s*D^2/2, so
-    M = D^2 * sum_j w_j E_z sigma(c_j + B z)^2.
+    M = D^2 * sum_j w_j E_z sigma(c_j + B z)^2; where s*D^2/2 overflows, c_j = -inf gives M = 0.
     """
     a1, a2 = prior.atoms
     lw = prior.log_weight_array
     d = a2 - a1
-    return d, np.sqrt(s_arr) * d, (lw[::-1] - lw)[:, None] - 0.5 * s_arr * d * d
+    with np.errstate(over="ignore"):
+        return d, np.sqrt(s_arr) * d, (lw[::-1] - lw)[:, None] - 0.5 * s_arr * d * d
 
 
 def _scratch(shape, count: int) -> list:
@@ -446,7 +447,7 @@ def mmse_q_approx(epsilon: float, s):
     converges uniformly to the true two-point MMSE as epsilon shrinks and is
     the evaluation path once quadrature underflows.
     """
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
     s_arr = _snr_grid(s)
     if (s_arr == 0.0).any():
         raise ValueError("s must be positive")

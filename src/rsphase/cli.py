@@ -30,6 +30,10 @@ class SpecError(ValueError):
     """Configuration failed validation; the message names the field."""
 
 
+class SelftestError(RuntimeError):
+    """One or more selftest checks failed; the message counts them."""
+
+
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
@@ -107,6 +111,11 @@ class SweepSpec:
                 if not 0 < value < math.inf:
                     raise SpecError(f"{name}: amp mode requires a positive finite value, "
                                     f"got {value!r}")
+            if self.seed < 0:
+                raise SpecError(f"seed: amp mode requires a nonnegative seed, got {self.seed}")
+            if self.p / self.snr < np.finfo(float).tiny:     # else snr = p/sigma2 loses digits
+                raise SpecError("snr: amp mode needs the noise variance p/snr to be a normal "
+                                f"double, got {self.p / self.snr!r}")
             n = self.delta * self.p          # _run_amp takes round(n) measurements
             if not 0.5 < n < math.inf:
                 raise SpecError("delta: amp mode needs 0.5 < delta*p < inf (at least one "
@@ -222,6 +231,8 @@ def _run_amp(spec: SweepSpec) -> list:
     delta_real = n / p
     s_amp = potential.smallest_stationary(delta_real, spec.snr, prior)
     m_star, _ = channel.mmse_eval(prior, s_amp)
+    # One state-evolution run serves every seed, at the instances' snr p / sigma2.
+    se_mse = [1.0, *amp._se_run(prior, delta_real, p / sigma2, spec.t_max)[1]]
     rows = []
     finals = []
     for k in range(spec.n_seeds):
@@ -230,7 +241,7 @@ def _run_amp(spec: SweepSpec) -> list:
         trace = amp.run_amp(amp.generate(prior, n, p, sigma2, seed), prior, t_max=spec.t_max)
         for t in range(trace.iterations + 1):
             rows.append([str(seed), str(t), _fmt(trace.mse[t]),
-                         _fmt(trace.se_mse[t]), _fmt(trace.residual_var[t])])
+                         _fmt(se_mse[t]), _fmt(trace.residual_var[t])])
         finals.append(float(trace.mse[-1]))
     path = _write_csv(spec, "amp.csv",
                       ["seed", "t", "mse_empirical", "mse_se_predicted", "tau2"], rows)
@@ -349,8 +360,9 @@ def _selftest_checks():
 
 
 def _run_selftest(spec: SweepSpec) -> list:
+    checks = _selftest_checks()
     failures = 0
-    for fn in _selftest_checks():
+    for fn in checks:
         try:
             msg = fn()
             print(f"PASS {fn.__name__}: {msg}")
@@ -361,7 +373,7 @@ def _run_selftest(spec: SweepSpec) -> list:
             failures += 1
             print(f"FAIL {fn.__name__}: {type(exc).__name__}: {exc}")
     if failures:
-        raise SystemExit(1)
+        raise SelftestError(f"selftest: {failures} of {len(checks)} checks failed")
     return []
 
 
@@ -503,7 +515,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SelftestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -46,11 +46,12 @@ def stationary_bracket(delta: float, snr: float):
     return delta * snr / (1.0 + snr), delta * snr
 
 
-def _check_snr(snr):
+def _check_snr(snr) -> float:
     if not snr > 0.0 or not math.isfinite(snr):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
     if snr < np.finfo(float).tiny:
         raise ValueError(f"snr = {snr!r} is below the smallest normal double, so 1/snr overflows")
+    return float(snr)
 
 
 def _check_params(value, snr, name="delta"):
@@ -59,13 +60,14 @@ def _check_params(value, snr, name="delta"):
     # The product's rules come before snr's own: a subnormal snr whose product
     # is subnormal too is reported by the product.
     if 0.0 < snr < math.inf:
-        if not math.isfinite(value * snr):
-            raise ValueError(f"{name}*snr must be finite, got {value * snr!r}")
-        if value * snr < np.finfo(float).tiny:
-            raise ValueError(f"{name}*snr = {value * snr!r} is below the smallest normal double, "
+        product = float(value) * float(snr)
+        if not math.isfinite(product):
+            raise ValueError(f"{name}*snr must be finite, got {product!r}")
+        if product < np.finfo(float).tiny:
+            raise ValueError(f"{name}*snr = {product!r} is below the smallest normal double, "
                              "so it and the admissible interval's ends lost precision or "
                              "rounded to 0")
-    _check_snr(snr)
+    return float(value), _check_snr(snr)
 
 
 def _t_grid(t_values) -> np.ndarray:
@@ -91,7 +93,7 @@ def potential(delta: float, snr: float, prior: DiscretePrior, s):
     point of an array gets the value a scalar call at that point gives, up to
     the rounding of BLAS's node sums.
     """
-    _check_params(delta, snr)
+    delta, snr = _check_params(delta, snr)
     s = _positive_s(s)
     i_vals, _ = channel.mutual_info_eval(prior, s)
     return i_vals + 0.5 * delta * _logdiv(s / (delta * snr))
@@ -109,7 +111,7 @@ def potential_deriv(delta: float, snr: float, prior: DiscretePrior, s):
     avoids differencing quadrature output.  Vectorized over ``s`` as
     :func:`potential` is.
     """
-    _check_params(delta, snr)
+    delta, snr = _check_params(delta, snr)
     s = _positive_s(s)
     m_vals, _ = channel.mmse_eval_curve(prior, s)
     return _residual(delta, snr, s, m_vals) / (2.0 * s)
@@ -161,7 +163,7 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
     s = 0 value, the prior's second moment, no crossing can be resolved and a
     :class:`BracketError` names delta*snr as the cause.
     """
-    _check_params(delta, snr)
+    delta, snr = _check_params(delta, snr)
     lo, hi = stationary_bracket(delta, snr)
     if lo == hi:
         return lo
@@ -215,7 +217,7 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
     Exact ties are measure zero; the tolerance exposes the coexistence regime
     near a first-order transition.
     """
-    _check_params(delta, snr)
+    delta, snr = _check_params(delta, snr)
     lo, hi = stationary_bracket(delta, snr)
     s_grid = np.geomspace(lo * (1.0 - BRACKET_PAD), hi * (1.0 + BRACKET_PAD), GRID_POINTS)
     i_vals, _ = channel.mutual_info_eval_curve(prior, s_grid)
@@ -262,7 +264,7 @@ def normalized_curve(epsilon: float, r: float, snr: float, t_values):
     rescaled by 2*H, plus the rescaled penalty.
     """
     t_arr = _t_grid(t_values)
-    _check_params(r, snr, "r")
+    r, snr = _check_params(r, snr, "r")
     h = two_point_entropy(epsilon)
     c = math.log1p(snr)
     i_vals, _ = channel.mutual_info_eval_curve(two_point(epsilon), 2.0 * h * t_arr)
@@ -274,7 +276,7 @@ normalized_potential = normalized_curve
 
 def normalized_argmin(epsilon: float, r: float, snr: float) -> float:
     """Location (in t) of the global minimum of the normalized potential."""
-    _check_params(r, snr, "r")
+    r, snr = _check_params(r, snr, "r")
     h = two_point_entropy(epsilon)
     c = math.log1p(snr)
     prior = two_point(epsilon)
@@ -304,7 +306,7 @@ def normalized_smallest_stationary(epsilon: float, r: float, snr: float) -> floa
     ``r`` is the ratio of the undersampling ratio to the information
     threshold, exactly as in :func:`normalized_potential`.
     """
-    _check_params(r, snr, "r")
+    r, snr = _check_params(r, snr, "r")
     h = two_point_entropy(epsilon)
     delta = 2.0 * r * h / math.log1p(snr)
     return smallest_stationary(delta, snr, two_point(epsilon)) / (2.0 * h)
@@ -312,7 +314,7 @@ def normalized_smallest_stationary(epsilon: float, r: float, snr: float) -> floa
 
 def limit_potential(r: float, snr: float, t) -> float:
     """Small-epsilon limit of the normalized potential: min(1,t) + penalty."""
-    _check_params(r, snr, "r")
+    r, snr = _check_params(r, snr, "r")
     t_arr = _t_grid(t)
     c = math.log1p(snr)
     out = np.minimum(1.0, t_arr) + (r / c) * _logdiv(t_arr * c / (r * snr))
@@ -321,7 +323,7 @@ def limit_potential(r: float, snr: float, t) -> float:
 
 def amp_threshold_ratio(snr: float) -> float:
     """Ratio of the algorithmic to the information threshold: (1+1/snr)ln(1+snr)."""
-    _check_snr(snr)
+    snr = _check_snr(snr)
     return (1.0 + 1.0 / snr) * math.log1p(snr)
 
 
@@ -332,7 +334,7 @@ def limit_minimizers(r: float, snr: float):
     r = 1 and the smallest stationary point at r = the threshold ratio; both
     boundary values are excluded (the limit curve is degenerate there).
     """
-    _check_params(r, snr, "r")
+    r, snr = _check_params(r, snr, "r")
     c = math.log1p(snr)
     r_alg = amp_threshold_ratio(snr)
     if r == 1.0:

@@ -9,6 +9,7 @@ supports are accepted so other families can be plugged in.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,9 +77,13 @@ class DiscretePrior:
         return len(self.atoms)
 
 
-def _check_epsilon(epsilon):
+def _check_epsilon(epsilon) -> float:
+    """``epsilon`` as a Python float (a float32 would keep float32 arithmetic), if in (0, 1)."""
+    if not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be a finite number, got {epsilon!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    return float(epsilon)
 
 
 def two_point(epsilon: float) -> DiscretePrior:
@@ -87,9 +92,7 @@ def two_point(epsilon: float) -> DiscretePrior:
     Atoms are ``(-sqrt(eps/(1-eps)), sqrt((1-eps)/eps))`` with weights
     ``(1-eps, eps)``, which makes the mean 0 and the variance 1.
     """
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be a finite number, got {epsilon!r}")
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
     mu1 = -math.sqrt(epsilon / (1.0 - epsilon))
     mu2 = math.sqrt((1.0 - epsilon) / epsilon)
     if mu2 == math.inf:
@@ -105,7 +108,7 @@ def entropy(prior: DiscretePrior) -> float:
 
 def two_point_entropy(epsilon: float) -> float:
     """Binary entropy -e*ln(e) - (1-e)*ln(1-e) in nats, stable for tiny epsilon."""
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
     return -epsilon * math.log(epsilon) - (1.0 - epsilon) * math.log1p(-epsilon)
 
 
@@ -116,12 +119,14 @@ def standardize_bernoulli(epsilon: float, p: int, sigma2: float):
     the prior into ``two_point(epsilon)`` and the total signal-to-noise ratio
     into ``p*eps*(1-eps)/sigma2``.  Returns ``(prior, snr)``.
     """
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
     if not 1 <= p < math.inf:
         raise ValueError(f"dimension p must be >= 1 and finite, got {p!r}")
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"noise variance sigma2 must be positive and finite, got {sigma2!r}")
     snr = p * epsilon * (1.0 - epsilon) / sigma2
+    if snr == math.inf:
+        raise ValueError(f"noise variance sigma2 = {sigma2!r} is too small: the snr overflows")
     return two_point(epsilon), snr
 
 

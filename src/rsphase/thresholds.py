@@ -28,18 +28,18 @@ def _check_kind(kind):
 def _check_h_snr(h, snr):
     if not 0.0 < h < math.inf:
         raise ValueError(f"entropy h must be positive and finite, got {h!r}")
-    potential._check_snr(snr)
+    return float(h), potential._check_snr(snr)
 
 
 def delta_mmse(h: float, snr: float) -> float:
     """Information threshold 2h/ln(1+snr) for a prior of entropy h (nats)."""
-    _check_h_snr(h, snr)
+    h, snr = _check_h_snr(h, snr)
     return 2.0 * h / math.log1p(snr)
 
 
 def delta_amp(h: float, snr: float) -> float:
     """Algorithmic threshold 2h(1+snr)/snr."""
-    _check_h_snr(h, snr)
+    h, snr = _check_h_snr(h, snr)
     return 2.0 * h * (1.0 + snr) / snr
 
 
@@ -64,6 +64,8 @@ def sparse_thresholds(k: float, p: float, sigma2: float):
         raise ValueError(f"need 0 < k < p with p finite, got k={k!r}, p={p!r}")
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"noise variance sigma2 must be positive and finite, got {sigma2!r}")
+    if k / sigma2 == math.inf:
+        raise ValueError(f"noise variance sigma2 = {sigma2!r} is too small: k/sigma2 overflows")
     log_ratio = math.log(p / k)
     d_mmse = 2.0 * (k / p) * log_ratio / math.log1p(k / sigma2)
     d_amp = 2.0 * (k + sigma2) * log_ratio / p
@@ -79,10 +81,11 @@ def transition_check(epsilon: float, snr: float, r: float, kind: str) -> float:
     smallest stationary point.  Values near 1 mean no recovery, near 0 mean
     essentially exact recovery.
     """
-    _check_epsilon(epsilon)
-    potential._check_snr(snr)
+    epsilon = _check_epsilon(epsilon)
+    snr = potential._check_snr(snr)
     if not r > 0.0 or r == 1.0:
         raise ValueError(f"r must lie in (0,1) or (1,inf), got {r!r}")
+    r = float(r)
     _check_kind(kind)
     # The algorithmic scaling is the same landscape with r multiplied by the
     # threshold ratio; both landmarks come back in t = s/2H units.
@@ -126,7 +129,7 @@ def report(epsilon: float, snr: float | None = None, *, p: float | None = None,
     :func:`~rsphase.prior.standardize_bernoulli` is used; in the latter case
     the sparse simplifications are filled in as well.
     """
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
     sparse = (None, None)
     if p is not None and sigma2 is not None:
         # Validates sigma2 > 0 and 0 < k < p before snr is derived from them.
@@ -135,6 +138,6 @@ def report(epsilon: float, snr: float | None = None, *, p: float | None = None,
             _, snr = standardize_bernoulli(epsilon, p, sigma2)
     elif snr is None:
         raise ValueError("pass either snr or both p and sigma2")
-    h = two_point_entropy(epsilon)
+    h, snr = _check_h_snr(two_point_entropy(epsilon), snr)
     return ThresholdReport(h, snr, delta_mmse(h, snr), delta_amp(h, snr), r_amp(snr),
                            l_constant(two_point(epsilon)), *sparse)

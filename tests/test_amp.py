@@ -16,7 +16,7 @@ from rsphase.amp import (
     se_sequence,
     state_evolution,
 )
-from rsphase.channel import mmse, mmse_eval
+from rsphase.channel import mmse
 from rsphase.potential import smallest_stationary
 from rsphase.prior import DiscretePrior, entropy, two_point
 from rsphase.thresholds import delta_amp, delta_mmse
@@ -123,27 +123,27 @@ def tracked_run():
     return prior, n / p, snr, traces
 
 
+@pytest.fixture(scope="module")
+def se_mse(tracked_run):
+    """State evolution's predicted MSE for the tracked configuration, t = 0..50."""
+    prior, delta, snr, _ = tracked_run
+    return np.concatenate([[1.0], amp._se_run(prior, delta, snr, 50)[1]])
+
+
 class TestRunAmp:
     def test_initial_mse_is_signal_power(self, tracked_run):
         _, _, _, traces = tracked_run
         for tr in traces[:5]:
             assert tr.mse[0] == pytest.approx(1.0, abs=0.15)
 
-    def test_se_tracking(self, tracked_run):
+    def test_se_tracking(self, tracked_run, se_mse):
         # The seed-averaged empirical MSE follows the recursion prediction
         # within 0.03 absolute for the first 15 iterations.
         _, _, _, traces = tracked_run
         t_len = min(min(tr.iterations for tr in traces), 15)
         mean_mse = np.mean([tr.mse[:t_len + 1] for tr in traces], axis=0)
-        predicted = traces[0].se_mse[:t_len + 1]
+        predicted = se_mse[:t_len + 1]
         assert float(np.max(np.abs(mean_mse - predicted))) <= 0.03
-
-    def test_se_reference_is_mmse_at_se_iterates(self, tracked_run):
-        prior, _, _, traces = tracked_run
-        tr = traces[0]
-        expected = [mmse_eval(prior, s)[0] for s in tr.se_snr[:-1]]
-        assert tr.se_mse[0] == 1.0
-        assert list(tr.se_mse[1:]) == expected
 
     def test_residual_power_consistency(self, tracked_run):
         # Seed-averaged tau_hat^2 tracks (1/delta) * (1/snr + MSE_t) within
@@ -156,7 +156,7 @@ class TestRunAmp:
         predicted = (1.0 / delta) * (1.0 / snr + mean_mse)
         np.testing.assert_allclose(mean_tau2, predicted, rtol=0.10)
 
-    def test_onsager_term_is_load_bearing(self, tracked_run):
+    def test_onsager_term_is_load_bearing(self, tracked_run, se_mse):
         # Removing the memory correction degrades SE tracking on every seed
         # batch; divergence counts as degradation.
         prior, delta, snr, traces = tracked_run
@@ -169,11 +169,11 @@ class TestRunAmp:
             tr = traces[seed]
             t_len = min(tr.iterations, 15)
             tracked_dev += float(np.sum(np.abs(tr.mse[:t_len + 1]
-                                               - tr.se_mse[:t_len + 1])))
+                                               - se_mse[:t_len + 1])))
             try:
                 bare = run_amp(inst, prior, t_max=t_len, onsager=False)
-                plain_dev += float(np.sum(np.abs(bare.mse[:t_len + 1]
-                                                 - bare.se_mse[:t_len + 1])))
+                plain_dev += float(np.sum(np.abs(bare.mse
+                                                 - se_mse[:bare.iterations + 1])))
             except DivergenceError:
                 plain_dev += float("inf")
         assert plain_dev > tracked_dev
@@ -184,9 +184,6 @@ class TestRunAmp:
             n_records = tr.iterations + 1
             assert len(tr.mse) == n_records
             assert len(tr.residual_var) == n_records
-            assert len(tr.se_snr) == n_records
-            assert len(tr.se_mse) == n_records
-            assert np.all(np.diff(tr.se_snr) >= -1e-12)
 
     def test_prior_mismatch_flag(self):
         inst = generate(two_point(0.1), 400, 400, 50.0, seed=4)
@@ -194,14 +191,6 @@ class TestRunAmp:
         assert not run_amp(inst, two_point(0.1), t_max=20).prior_mismatch
         ternary = DiscretePrior((-math.sqrt(2.0), 0.0, math.sqrt(2.0)), (0.25, 0.5, 0.25))
         assert run_amp(inst, ternary, t_max=5).prior_mismatch
-
-    def test_noiseless_instance_has_nan_se_columns(self):
-        # snr is infinite, so there is no state-evolution reference to align.
-        trace = run_amp(generate(two_point(0.1), 100, 200, 0.0, seed=5), two_point(0.1),
-                        t_max=5)
-        for column in (trace.se_snr, trace.se_mse):
-            assert column.shape == (trace.iterations + 1,)
-            assert np.all(np.isnan(column))
 
     def test_zero_residual_ends_as_converged(self):
         # AMP recovers this noiseless instance exactly, so its residual reaches 0
@@ -227,27 +216,6 @@ class TestRunAmp:
         inst = generate(two_point(0.5), 20, 30, 1.0, seed=0)
         with pytest.raises(ValueError):
             run_amp(inst, two_point(0.5), t_max=0)
-
-
-class TestSeReference:
-    def test_cached_reference_is_the_uncached_se_prefix(self):
-        # The first run fills the cache, the others slice it; every trace must
-        # equal a fresh SE run of its own length, even after an earlier trace
-        # was overwritten.
-        prior = two_point(0.1)
-        amp._se_reference.cache_clear()
-        lengths = set()
-        for seed in range(4):
-            inst = generate(prior, 172, 200, 20.0, seed=seed)
-            tr = run_amp(inst, prior, t_max=30)
-            s, m = amp._se_run(prior, inst.delta, inst.snr, tr.iterations)
-            assert np.array_equal(tr.se_snr, s)
-            assert np.array_equal(tr.se_mse, np.concatenate([[1.0], m]))
-            lengths.add(tr.iterations)
-            tr.se_snr[:] = tr.se_mse[:] = np.nan
-        info = amp._se_reference.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
-        assert len(lengths) > 1
 
 
 def _traced_peak(fn):

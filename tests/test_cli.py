@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from rsphase import cli
+from rsphase.amp import se_sequence
+from rsphase.channel import mmse_eval
 from rsphase.cli import SpecError, SweepSpec, main, run
 from rsphase.potential import potential
 from rsphase.prior import two_point, two_point_entropy
@@ -266,15 +268,25 @@ class TestAmpCommand:
         assert rc == 2
 
     def test_in_process_rerun_is_byte_identical(self, tmp_path):
-        # The second run takes its state-evolution reference from the cache
-        # the first one filled.
         args = ["amp", "--p", "200", "--delta", "0.86", "--snr", "10", "--epsilon", "0.1",
                 "--seeds", "2", "--t-max", "20"]
-        cli.amp._se_reference.cache_clear()
         for out in ("a", "b"):
             assert main(args + ["--out", str(tmp_path / out)]) == 0
         for name in ("amp.csv", "amp_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_se_column_is_mmse_at_se_iterates(self, tmp_path):
+        # One state-evolution run serves every seed: M = 1 at the cold start,
+        # then M at each iterate before the last, whatever the seed's length.
+        assert main(["amp", "--p", "200", "--delta", "0.86", "--snr", "10", "--epsilon", "0.1",
+                     "--seeds", "3", "--t-max", "30", "--out", str(tmp_path)]) == 0
+        _, _, body = read_csv(tmp_path / "amp.csv")
+        prior = two_point(0.1)
+        s_t = se_sequence(prior, 172 / 200, 200 / (200 / 10.0), 30)     # n/p, p/sigma2
+        expected = [1.0] + [mmse_eval(prior, s)[0] for s in s_t[:-1]]
+        assert sorted({row[0] for row in body}) == ["0", "1", "2"]
+        for row in body:
+            assert float(row[3]) == expected[int(row[1])]
 
 
 class TestFigureCommands:
@@ -510,6 +522,30 @@ class TestRuntimeErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert ("epsilon" if "epsilon" in prior else "atoms") in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-5"], "seed: amp mode requires a nonnegative seed, got -5\n"),
+        (["--p", "1", "--delta", "1", "--snr", "1.7976931348623157e308"],
+         "snr: amp mode needs the noise variance p/snr to be a normal double, got 5.56"),
+    ], ids=["negative-seed", "subnormal-noise-variance"])
+    def test_amp_config_error_names_the_field(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["amp", "--p", "100", "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
+                   "--seeds", "1", "--t-max", "5", "--out", str(out)] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: " + message)
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_overflowing_sigma2_is_named(self, tmp_path, capsys):
+        # k/sigma2 and p*eps*(1-eps)/sigma2 overflow: the error names sigma2, the
+        # input given, not the snr derived from it.
+        rc = main(["thresholds", "--epsilon", "0.1", "--p", "10", "--sigma2", "1e-320",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: noise variance sigma2 = 1e-320 is too "
+                                           "small: k/sigma2 overflows\n")
+        with pytest.raises(ValueError, match="sigma2 = 1e-320 is too small"):
+            cli.thresholds.sparse_thresholds(1.0, 10.0, 1e-320)
+
     def test_amp_delta_below_one_measurement_rejected(self, tmp_path, capsys):
         # round(0.001 * 100) = 0 measurements; the run must not quietly use n = 1.
         out = tmp_path / "out"
@@ -533,11 +569,14 @@ class TestSelftest:
         def check_fails():
             raise AssertionError("gap 1.0e+00")
 
-        monkeypatch.setattr(cli, "_selftest_checks", lambda: [check_fails])
-        with pytest.raises(SystemExit) as exc:
-            main(["selftest"])
-        assert exc.value.code == 1
-        assert capsys.readouterr().out == "FAIL check_fails: gap 1.0e+00\n"
+        def check_passes():
+            return "holds"
+
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: [check_fails, check_passes])
+        assert main(["selftest"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "FAIL check_fails: gap 1.0e+00\nPASS check_passes: holds\n"
+        assert err == "error: selftest: 1 of 2 checks failed\n"
 
 
 class TestSpecValidation:

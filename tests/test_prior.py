@@ -58,6 +58,12 @@ class TestTwoPoint:
         with pytest.raises(ValueError):
             two_point(eps)
 
+    def test_numpy_scalar_epsilon_is_accepted_as_its_double(self):
+        eps = np.float32(0.1)
+        prior = two_point(eps)
+        assert prior == two_point(float(eps))
+        assert all(type(v) is float for v in prior.atoms + prior.weights)
+
     def test_spike_atom_overflow_names_epsilon(self):
         # Below about 5.6e-309, (1 - eps)/eps overflows to inf.
         assert math.isfinite(two_point(6e-309).atoms[1])
@@ -140,6 +146,10 @@ class TestStandardizeBernoulli:
     def test_non_finite_rejected_by_name(self, p, sigma2, name):
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             standardize_bernoulli(0.1, p, sigma2)
+
+    def test_overflowing_snr_names_sigma2(self):
+        with pytest.raises(ValueError, match=r"sigma2 = 1e-320 is too small"):
+            standardize_bernoulli(0.1, 10, 1e-320)
 
 
 class TestSample:

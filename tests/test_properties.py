@@ -341,3 +341,9 @@ def test_curves_take_zeros_anywhere_in_an_array(prior):
 def test_channel_curve_needs_a_1d_increasing_grid(grid, message):
     with pytest.raises(ValueError, match=message):
         channel.channel_curve(two_point(0.1), grid)
+
+
+def test_two_point_mmse_past_the_double_range_is_zero_without_warning():
+    # s*D^2/2 overflows there; the suite turns a RuntimeWarning into a failure.
+    assert channel.mmse(two_point(0.1), 5e307) == 0.0
+    assert np.array_equal(channel.mmse_curve(two_point(0.5), [1e308, 1.7e308]), [0.0, 0.0])

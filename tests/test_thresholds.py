@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rsphase.channel import mmse
-from rsphase.potential import minimize
+from rsphase.potential import minimize, normalized_curve, smallest_stationary
 from rsphase.prior import entropy, two_point, two_point_entropy
 from rsphase.thresholds import (
     ThresholdReport,
@@ -190,3 +190,29 @@ class TestReport:
     def test_requires_some_snr_information(self):
         with pytest.raises(ValueError):
             report(0.1)
+
+
+_F32 = np.float32
+
+
+@pytest.mark.parametrize("fn, args", [
+    (two_point_entropy, (_F32(0.1),)),
+    (delta_mmse, (_F32(0.5), _F32(5.0))),
+    (delta_amp, (_F32(0.5), _F32(5.0))),
+    (r_amp, (_F32(5.0),)),
+    (smallest_stationary, (0.3, _F32(5.0), two_point(0.01))),
+    (lambda delta, snr: minimize(delta, snr, two_point(0.01)).s_best, (_F32(0.3), 5.0)),
+    (normalized_curve, (_F32(0.01), _F32(0.9), _F32(5.0), 1.0)),
+    (transition_check, (0.01, _F32(5.0), 0.5, "amp")),
+    (transition_check, (_F32(0.01), 5.0, _F32(0.5), "amp")),
+    (transition_check, (0.01, 5.0, _F32(0.5), "mmse")),
+], ids=["two_point_entropy", "delta_mmse", "delta_amp", "r_amp", "smallest_stationary",
+        "minimize", "normalized_curve", "transition_check-snr", "transition_check-eps-r",
+        "transition_check-mmse"])
+def test_float32_inputs_compute_in_double(fn, args):
+    # Under NumPy 2's promotion a float32 stays float32 when it meets a Python
+    # float; each checked input is converted to a Python float first.  A
+    # float64 passes isinstance(float), a float32 does not.
+    value = fn(*args)
+    assert isinstance(value, float)
+    assert value == fn(*(float(a) if isinstance(a, _F32) else a for a in args))
