@@ -18,9 +18,10 @@ import numpy as np
 
 from . import channel
 from ._numerics import brentq, minimize_bounded
-from .prior import DiscretePrior, two_point, two_point_entropy
+from .prior import DiscretePrior, entropy, two_point, two_point_entropy
 
 GRID_POINTS = 2000
+SAMPLE_STRIDE = 16
 SCAN_POINTS = 4000
 SCAN_BLOCK = 32
 BRACKET_PAD = 1e-3
@@ -63,6 +64,11 @@ def _check_params(value, snr, name="delta"):
         product = float(value) * float(snr)
         if not math.isfinite(product):
             raise ValueError(f"{name}*snr must be finite, got {product!r}")
+        # The scan grids end at product*(1 + BRACKET_PAD); np.geomspace forms
+        # its points as powers of 10, which round past that end by ~1e-13.
+        if not math.isfinite(product * (1.0 + BRACKET_PAD) ** 2):
+            raise ValueError(f"{name}*snr = {product!r} is too large: the padded scan "
+                             "grid's upper end overflows")
         if product < np.finfo(float).tiny:
             raise ValueError(f"{name}*snr = {product!r} is below the smallest normal double, "
                              "so it and the admissible interval's ends lost precision or "
@@ -203,6 +209,36 @@ def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float
     return float(root)
 
 
+def _certified_steps(delta, snr, prior, s_grid):
+    """Per step k of ``s_grid``: the sign of F(s_grid[k+1]) - F(s_grid[k]) where M
+    certifies it, else 0.
+
+    M is read at every ``SAMPLE_STRIDE``-th point and at the last.  M is
+    nonincreasing, so on a sample interval [s_a, s_b] the residual 2s*F'(s) =
+    s*(M(s) + 1/snr) - delta lies between its values at (s_a, m_b - QUAD_TOL)
+    and (s_b, m_a + QUAD_TOL).  Where that range clears 0 by g = 4*slack /
+    (smallest log step), each step of the interval changes F by more than
+    2*slack, with that sign.  slack is 2*_mi_tol(prior), the error each
+    computed I is trusted to stay within, plus a bound on F's rounding, so the
+    scan's computed comparison has the same sign.  Nothing is certified on the
+    tail-surrogate route, or where g is not finite.
+    """
+    signs = np.zeros(s_grid.size - 1)
+    log_step = float(np.log(s_grid[1:] / s_grid[:-1]).min())
+    if channel.approx_epsilon(prior) is not None or not log_step > 0.0:
+        return signs
+    x = s_grid[[0, -1]] / (delta * snr)
+    rounding = 4.0 * np.finfo(float).eps * (entropy(prior) + delta * (x[1] - math.log(x[0]) + 1.0))
+    gap = 4.0 * (2.0 * channel._mi_tol(prior) + rounding) / log_step
+    if not math.isfinite(gap):
+        return signs
+    ends = np.append(np.arange(0, s_grid.size - 1, SAMPLE_STRIDE), s_grid.size - 1)
+    m_vals, _ = channel.mmse_eval_curve(prior, s_grid[ends])
+    rising = _residual(delta, snr, s_grid[ends[:-1]], m_vals[1:] - channel.QUAD_TOL) > gap
+    falling = _residual(delta, snr, s_grid[ends[1:]], m_vals[:-1] + channel.QUAD_TOL) < -gap
+    return np.repeat(rising.astype(float) - falling, np.diff(ends))
+
+
 def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandscape:
     """Locate the global minimum of F and its extreme minimizers.
 
@@ -216,18 +252,44 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
     than 1e-6*delta*snr apart, so two refinements of one basin count once.
     Exact ties are measure zero; the tolerance exposes the coexistence regime
     near a first-order transition.
+
+    The scan reads I only where M leaves the sign of a step open.  By I' =
+    M/2, M at every ``SAMPLE_STRIDE``-th point certifies the sign of the steps
+    where F is steep (:func:`_certified_steps`).  That trusts M to within
+    ``QUAD_TOL``, as :func:`smallest_stationary`'s skip does, and each I to
+    within 2*_mi_tol(prior).  I is read on the runs of ``_CHUNK``-aligned
+    chunks that hold an end of an uncertified step, one call per run.  The
+    ladder converges per chunk, so these are the values one call on the whole
+    grid gives, and the candidates, the local minima of that full scan, come
+    out the same: a step with both ends read is compared as the full scan
+    compares it, any other takes its certified sign.  On the tail-surrogate
+    route, whose I depends on the grid's largest s, nothing is certified and
+    the whole grid is read in one call.
     """
     delta, snr = _check_params(delta, snr)
     lo, hi = stationary_bracket(delta, snr)
     s_grid = np.geomspace(lo * (1.0 - BRACKET_PAD), hi * (1.0 + BRACKET_PAD), GRID_POINTS)
-    i_vals, _ = channel.mutual_info_eval_curve(prior, s_grid)
-    f_vals = i_vals + 0.5 * delta * _logdiv(s_grid / (delta * snr))
+    signs = _certified_steps(delta, snr, prior, s_grid)
+    # Plain indexing: the first call of np.unique (or np.union1d) adds over 1 MB of RSS.
+    chunk_of = np.arange(GRID_POINTS) // channel._CHUNK
+    open_steps = np.flatnonzero(signs == 0.0)
+    open_chunks = np.zeros(chunk_of[-1] + 1, dtype=bool)
+    open_chunks[chunk_of[open_steps]] = open_chunks[chunk_of[open_steps + 1]] = True
+    read = open_chunks[chunk_of]
+    f_vals = np.zeros(GRID_POINTS)
+    # One call per run [a, b) of read points: the runs start on chunk boundaries.
+    for a, b in np.flatnonzero(np.diff(read, prepend=False, append=False)).reshape(-1, 2):
+        i_vals, _ = channel.mutual_info_eval_curve(prior, s_grid[a:b])
+        f_vals[a:b] = i_vals + 0.5 * delta * _logdiv(s_grid[a:b] / (delta * snr))
+    # A step with both ends read is compared as the full scan compares it;
+    # every other step is certified.
+    rises = np.where(read[:-1] & read[1:], np.diff(f_vals), signs)
 
     # Local minima of the scan: ties count inside, the endpoints need a strict drop.
-    is_min = np.empty(f_vals.size, dtype=bool)
-    is_min[1:-1] = (f_vals[1:-1] <= f_vals[:-2]) & (f_vals[1:-1] <= f_vals[2:])
-    is_min[0] = f_vals[0] < f_vals[1]
-    is_min[-1] = f_vals[-1] < f_vals[-2]
+    is_min = np.empty(GRID_POINTS, dtype=bool)
+    is_min[1:-1] = (rises[:-1] <= 0.0) & (rises[1:] >= 0.0)
+    is_min[0] = rises[0] > 0.0
+    is_min[-1] = rises[-1] < 0.0
     candidates = np.flatnonzero(is_min)
     if candidates.size == 0:
         raise BracketError("no local minimum on the scan grid; grid too coarse")

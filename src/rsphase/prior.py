@@ -124,6 +124,7 @@ def standardize_bernoulli(epsilon: float, p: int, sigma2: float):
         raise ValueError(f"dimension p must be >= 1 and finite, got {p!r}")
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"noise variance sigma2 must be positive and finite, got {sigma2!r}")
+    p, sigma2 = float(p), float(sigma2)
     snr = p * epsilon * (1.0 - epsilon) / sigma2
     if snr == math.inf:
         raise ValueError(f"noise variance sigma2 = {sigma2!r} is too small: the snr overflows")

@@ -64,6 +64,7 @@ def sparse_thresholds(k: float, p: float, sigma2: float):
         raise ValueError(f"need 0 < k < p with p finite, got k={k!r}, p={p!r}")
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"noise variance sigma2 must be positive and finite, got {sigma2!r}")
+    k, p, sigma2 = float(k), float(p), float(sigma2)
     if k / sigma2 == math.inf:
         raise ValueError(f"noise variance sigma2 = {sigma2!r} is too small: k/sigma2 overflows")
     log_ratio = math.log(p / k)

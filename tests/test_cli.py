@@ -465,18 +465,29 @@ class TestRuntimeErrors:
         assert err.startswith("error: delta*snr = ") and err.count("\n") == 1
         assert "smallest normal double" in err
 
-    def test_overflowing_delta_snr_is_one_line(self, tmp_path):
+    @staticmethod
+    def _potential_in_child(delta, snr, tmp_path):
         # A child process, so that the stderr seen is the whole of it, numpy's
-        # warnings included (the test session would turn them into errors);
-        # it must be the one error line, with no warning and no traceback.
+        # warnings included (the test session would turn them into errors).
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get(
             "PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "rsphase.cli", "potential", "--epsilon",
-                               "0.1", "--delta", "1e300", "--snr", "1e300", "--out",
+        return subprocess.run([sys.executable, "-m", "rsphase.cli", "potential", "--epsilon",
+                               "0.1", "--delta", delta, "--snr", snr, "--out",
                                str(tmp_path / "out")],
                               env=env, capture_output=True, text=True, timeout=120)
+
+    def test_overflowing_delta_snr_is_one_line(self, tmp_path):
+        # It must be the one error line, with no warning and no traceback.
+        proc = self._potential_in_child("1e300", "1e300", tmp_path)
         assert proc.returncode == 1
         assert proc.stderr == "error: delta*snr must be finite, got inf\n"
+
+    def test_delta_snr_past_the_padded_grid_is_one_line(self, tmp_path):
+        # The product is finite, but the scan grid's padded end is not.
+        proc = self._potential_in_child("1", "1.7976931348623157e308", tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: delta*snr = 1.7976931348623157e+308 is too large: "
+                               "the padded scan grid's upper end overflows\n")
 
     @pytest.mark.parametrize("argv", [
         ["amp", "--p", "0", "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",

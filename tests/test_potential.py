@@ -348,6 +348,19 @@ class TestSmallestStationary:
             with pytest.raises(ValueError, match=r"^delta\*snr = .* smallest normal double"):
                 call()
 
+    def test_delta_snr_past_the_padded_grid_is_rejected(self):
+        # The scan grids end at delta*snr*(1 + BRACKET_PAD), so a product within
+        # that pad of the largest double overflows there; it is named instead.
+        prior = two_point(0.1)
+        for call in (lambda: smallest_stationary(1.0, 1.7976931348623157e308, prior),
+                     lambda: minimize(1.0, 1.7976931348623157e308, prior),
+                     lambda: potential_deriv(1e8, 1.795e300, prior, 1.0)):
+            with pytest.raises(ValueError, match=r"^delta\*snr = .* padded scan grid's upper "
+                                                 "end overflows"):
+                call()
+        lo, hi = stationary_bracket(1.0, 1.794e308)
+        assert lo < smallest_stationary(1.0, 1.794e308, prior) <= hi
+
     def test_subnormal_snr_is_rejected(self):
         # 1/snr overflows.  delta*snr = 1e-300 is normal, so snr is named itself.
         prior = two_point(0.1)

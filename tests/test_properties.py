@@ -1,4 +1,4 @@
-"""Properties of M, I and the smallest stationary point, checked with numpy alone.
+"""Properties of M, I, the smallest stationary point and the potential scan, with numpy alone.
 
 The domain is fixed: standardized priors of 3-7 atoms drawn in [-4, 4] with
 every weight at least 1e-3, two-point priors with eps = 10**u for u in
@@ -6,6 +6,10 @@ every weight at least 1e-3, two-point priors with eps = 10**u for u in
 version where a value must not depend on the other points of its grid.  The
 smallest stationary point is checked on two-point priors with eps in
 [1e-30, 0.5], snr in [1e-3, 1e4] and delta from 0.2 to 2 times delta_amp.
+The signs ``minimize`` certifies from M are checked against the full scan's F
+on quadrature-route priors with snr in [1e-2, 1e3] and delta from 0.2 to 3
+times the information threshold, and its candidates against the full scan's
+on fixed cases.
 Two-point Monte Carlo draws eps in [1e-12, 0.5] and t = s/2H in [0.03, 5].
 Two-point spike weights are split at ``channel.APPROX_EPSILON`` into the
 quadrature route and the tail-surrogate route; together they cover the whole
@@ -28,7 +32,7 @@ from rsphase.amp import mc_mmse, mc_mmse_two_point
 from rsphase.potential import SCAN_POINTS, BracketError, smallest_stationary, stationary_bracket
 from rsphase.prior import (DiscretePrior, entropy, two_point, two_point_entropy,
                            two_point_epsilon)
-from rsphase.thresholds import delta_amp
+from rsphase.thresholds import delta_amp, delta_mmse
 
 S = np.geomspace(1e-3, 50.0, 64)
 S_LONG = np.geomspace(1e-3, 50.0, 2000)
@@ -264,6 +268,130 @@ def test_smallest_stationary_matches_full_scan(eps, snr, r):
             smallest_stationary(delta, snr, two_point(eps))
     else:
         assert smallest_stationary(delta, snr, two_point(eps)) == root
+
+
+def _full_scan_f(delta, snr, prior):
+    """F on every point of ``minimize``'s scan grid, from one call on the whole grid."""
+    lo, hi = stationary_bracket(delta, snr)
+    grid = np.geomspace(lo * (1.0 - potential.BRACKET_PAD), hi * (1.0 + potential.BRACKET_PAD),
+                        potential.GRID_POINTS)
+    i_vals, _ = channel.mutual_info_eval_curve(prior, grid)
+    return grid, i_vals + 0.5 * delta * potential._logdiv(grid / (delta * snr))
+
+
+def _full_scan_brackets(delta, snr, prior):
+    """The refinement brackets of the full scan's local minima: ties count inside,
+    the endpoints need a strict drop."""
+    grid, f = _full_scan_f(delta, snr, prior)
+    is_min = np.empty(f.size, dtype=bool)
+    is_min[1:-1] = (f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:])
+    is_min[0] = f[0] < f[1]
+    is_min[-1] = f[-1] < f[-2]
+    return [(grid[max(k - 1, 0)], grid[min(k + 1, f.size - 1)]) for k in np.flatnonzero(is_min)]
+
+
+def _standardized_prior(rng, k):
+    atoms = np.sort(rng.uniform(-3.0, 3.0, k))
+    weights = rng.uniform(0.05, 1.0, k)
+    weights /= weights.sum()
+    mean = weights @ atoms
+    std = math.sqrt(weights @ (atoms - mean) ** 2)
+    return DiscretePrior(tuple((atoms - mean) / std), tuple(weights))
+
+
+def _at_threshold(eps, r, snr=5.0, threshold=delta_mmse):
+    return two_point(eps), r * threshold(two_point_entropy(eps), snr), snr
+
+
+def _minimize_cases():
+    """(prior, delta, snr) for the certified-scan check: the mmse cells of the
+    phase sweep at eps >= 1e-8, the smallest-stationary scan cases, Rademacher
+    and 40 random two-point configurations."""
+    cases = {f"phase-{eps:g}-{r}": _at_threshold(eps, r)
+             for eps in (1e-2, 1e-4, 1e-6, 1e-8) for r in (0.5, 0.9, 1.1, 2.0)}
+    cases.update({
+        "eps0.1": _at_threshold(0.1, 1.1),
+        "eps1e-4": _at_threshold(1e-4, 1.1),
+        "eps1e-8": _at_threshold(1e-8, 1.1),
+        "ternary": (TERNARY, 0.8, 5.0),
+        **{f"eps1e-2-amp{r}": _at_threshold(1e-2, r, threshold=delta_amp)
+           for r in (0.49, 0.5, 0.51)},
+        "eps1e-4-amp2": _at_threshold(1e-4, 2.0, threshold=delta_amp),
+        "eps1e-16-it1.5": _at_threshold(1e-16, 1.5),
+        "eps1e-50-it1.5": _at_threshold(1e-50, 1.5),
+        "eps0.1-snr1e-12": _at_threshold(0.1, 1.1, 1e-12),
+        "eps0.1-snr1e8": _at_threshold(0.1, 1.1, 1e8),
+        "random5": (_standardized_prior(np.random.default_rng(5), 5), 0.7, 5.0),
+        "amp-0.86": (two_point(0.1), 0.86, 10.0),
+        "amp-0.2": (two_point(0.1), 0.2, 10.0),
+        "rademacher": (two_point(0.5), 1.0, 1.0),
+    })
+    rng = np.random.default_rng(12345)
+    for j in range(40):
+        eps, snr, r = 10.0 ** rng.uniform([math.log10(0.05), math.log10(0.3), math.log10(0.5)],
+                                          [math.log10(0.5), math.log10(8.0), math.log10(2.0)])
+        cases[f"random-two-point-{j}"] = _at_threshold(eps, r, snr)
+    return cases
+
+
+MINIMIZE_CASES = _minimize_cases()
+
+
+@pytest.mark.parametrize("prior, delta, snr", MINIMIZE_CASES.values(), ids=MINIMIZE_CASES.keys())
+def test_minimize_refines_the_full_scans_minima(prior, delta, snr, monkeypatch):
+    # minimize reads I only where M leaves a step's sign open; the basins it
+    # refines must be the full scan's, bracket for bracket, bit for bit.
+    brackets = []
+    refine = potential.minimize_bounded
+
+    def recording(fn, a, b, **kw):
+        brackets.append((a, b))
+        return refine(fn, a, b, **kw)
+
+    monkeypatch.setattr(potential, "minimize_bounded", recording)
+    potential.minimize(delta, snr, prior)
+    assert brackets == _full_scan_brackets(delta, snr, prior)
+
+
+@_PROPERTY
+@given(QUADRATURE_PRIORS, st.floats(-2.0, 3.0).map(lambda u: 10.0 ** u), st.floats(0.2, 3.0))
+@example(two_point(1e-2), 5.0, 2.0)
+@example(two_point(1e-8), 5.0, 1.1)
+@example(TERNARY, 5.0, 1.0)
+def test_certified_steps_have_their_sign_in_the_full_scan(prior, snr, r):
+    delta = r * delta_mmse(entropy(prior), snr)
+    grid, f = _full_scan_f(delta, snr, prior)
+    signs = potential._certified_steps(delta, snr, prior, grid)
+    certified = signs != 0.0
+    # A certified step changes the true F by more than 4*_mi_tol with its sign;
+    # with each I within _mi_tol, the full scan shows more than half of that.
+    assert np.all(np.diff(f)[certified] * signs[certified] > 2.0 * channel._mi_tol(prior))
+
+
+def _scan_reads(monkeypatch, delta, snr, prior):
+    """Sizes of the s arrays ``minimize`` passes to ``mutual_info_eval_curve``."""
+    seen = []
+    curve = channel.mutual_info_eval_curve
+
+    def counting(prior, s_values):
+        seen.append(len(s_values))
+        return curve(prior, s_values)
+
+    monkeypatch.setattr(channel, "mutual_info_eval_curve", counting)
+    potential.minimize(delta, snr, prior)
+    return seen
+
+
+def test_scan_reads_i_in_one_chunk_where_f_is_steep(monkeypatch):
+    # At eps 1e-2, r 2, snr 5, M certifies every step outside one chunk.
+    prior, delta, snr = _at_threshold(1e-2, 2.0)
+    assert sum(_scan_reads(monkeypatch, delta, snr, prior)) <= channel._CHUNK
+
+
+def test_surrogate_scan_reads_the_whole_grid_at_once(monkeypatch):
+    # The tail surrogate's I depends on the grid's largest s, so nothing is
+    # certified there, even where F is steep.
+    assert _scan_reads(monkeypatch, 1.0, 5.0, two_point(1e-16)) == [potential.GRID_POINTS]
 
 
 # The shape contract: every function that takes s or t takes a float or an

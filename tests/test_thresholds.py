@@ -7,7 +7,7 @@ import pytest
 
 from rsphase.channel import mmse
 from rsphase.potential import minimize, normalized_curve, smallest_stationary
-from rsphase.prior import entropy, two_point, two_point_entropy
+from rsphase.prior import entropy, standardize_bernoulli, two_point, two_point_entropy
 from rsphase.thresholds import (
     ThresholdReport,
     delta_amp,
@@ -206,9 +206,15 @@ _F32 = np.float32
     (transition_check, (0.01, _F32(5.0), 0.5, "amp")),
     (transition_check, (_F32(0.01), 5.0, _F32(0.5), "amp")),
     (transition_check, (0.01, 5.0, _F32(0.5), "mmse")),
+    (lambda *a: standardize_bernoulli(*a)[1], (0.1, 10, _F32(1.0))),
+    (lambda *a: standardize_bernoulli(*a)[1], (0.1, _F32(10.0), 1.0)),
+    (lambda *a: sparse_thresholds(*a)[0], (_F32(1.0), _F32(10.0), _F32(1.0))),
+    (lambda *a: sparse_thresholds(*a)[1], (1.0, 10, _F32(1.0))),
+    (lambda *a: sparse_thresholds(*a)[1], (_F32(1.0), 10, 1.0)),
 ], ids=["two_point_entropy", "delta_mmse", "delta_amp", "r_amp", "smallest_stationary",
         "minimize", "normalized_curve", "transition_check-snr", "transition_check-eps-r",
-        "transition_check-mmse"])
+        "transition_check-mmse", "standardize_bernoulli-sigma2", "standardize_bernoulli-p",
+        "sparse_thresholds-mmse", "sparse_thresholds-amp-sigma2", "sparse_thresholds-amp-k"])
 def test_float32_inputs_compute_in_double(fn, args):
     # Under NumPy 2's promotion a float32 stays float32 when it meets a Python
     # float; each checked input is converted to a Python float first.  A
