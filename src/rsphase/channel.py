@@ -10,7 +10,8 @@ overflow already around eps ~ 1e-4.
 M of a two-atom prior is one expectation, D^2 * sum_j w_j E_z sigma(c_j + B z)^2
 over the other atom's posterior log-odds (:func:`_two_point_log_odds`), and is
 evaluated exactly: a closed-form step plus a remainder on a fixed
-Gauss-Legendre rule (:func:`_mmse_two_point`).  I, and M of priors with more
+Gauss-Legendre rule (:func:`_mmse_two_point`).  Each call forms the log-odds
+once, and both atoms share one remainder pass.  I, and M of priors with more
 atoms, use adaptive Gauss-Hermite quadrature.  M's Gauss-Hermite kernel
 (:func:`_mmse_nodes`) is one for every prior; at a fixed order (``nodes=``) it
 is the oracle for the exact two-point M, and shares no formula with it.  Under
@@ -20,7 +21,8 @@ so the generic kernels hold one (S, K) array per atom (:func:`_log_posteriors`),
 and M's error sum_{k != j} q_k (a_j - a_k) / sum_k q_k keeps the digits that
 a_j - E[beta0|y] would cancel.  Every fixed rule, the Gauss-Hermite kernels
 and the two-point remainder, runs on blocks of at most ``_BLOCK`` point-node
-pairs (:func:`_rows`), with the same values as one call on the whole chunk.
+pairs (:func:`_rows`), with the same values as one call on the whole chunk; the
+remainder's one pass holds a value per atom for each pair, 2 * ``_BLOCK`` in all.
 The kernels write every (S, K) intermediate with ``out=`` into a thread-local
 workspace (:func:`_scratch`) that is grown to the largest block and kept, so
 after the first blocks they allocate nothing of that size; threads never share
@@ -145,13 +147,14 @@ def _two_point_log_odds(prior: DiscretePrior, s_arr: np.ndarray):
 def _scratch(shape, count: int) -> list:
     """``count`` distinct float arrays of ``shape`` from this thread's workspace.
 
-    The node kernels write every (S, K) intermediate into these with ``out=``,
-    so a block allocates nothing of its size.  The pool is grown to the largest
-    request and never shrunk; at _rows' blocks that is at most (2A + 2) *
-    (_BLOCK + K) doubles for an A-atom prior.  Contents are whatever the last
-    use left, so a kernel writes each array before it reads it.
+    The node kernels write every (S, K) intermediate, and the two-point
+    remainder its one (2, S, K) array, into these with ``out=``, so a block
+    allocates nothing of its size.  The pool is grown to the largest request and
+    never shrunk; at _rows' blocks that is at most (2A + 2) * (_BLOCK + K)
+    doubles for an A-atom prior.  Contents are whatever the last use left, so a
+    kernel writes each array before it reads it.
     """
-    size = shape[0] * shape[1]
+    size = math.prod(shape)
     pool = getattr(_workspace, "pool", None)
     if pool is None or pool.size < count * size:
         pool = _workspace.pool = np.empty(count * size)
@@ -231,44 +234,55 @@ def _remainder_rule():
 def _mmse_two_point(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
     """Exact M on an s grid for a two-atom prior; no node ladder.
 
-    With D, B and c_j from :func:`_two_point_log_odds`, M = D^2 * sum_j w_j E(c_j, B)
-    where E(A, B) = E_z sigma(A + B z)^2.  E splits into the step Phi(A/B) and a
-    remainder R = (1/B) int phi((u - A)/B) rho(u) du whose weight rho decays like
-    exp(-|u|).  The step w_j D^2 * Phi(c_j/B) is one erfc call; R runs on the
-    fixed panels of :func:`_remainder_rule` in _rows blocks, in the log domain,
+    With D, B and c_j from :func:`_two_point_log_odds`, formed once per call,
+    M = D^2 * sum_j w_j E(c_j, B) where E(A, B) = E_z sigma(A + B z)^2.  E splits
+    into the step Phi(A/B) and a remainder R = (1/B) int phi((u - A)/B) rho(u) du
+    whose weight rho decays like exp(-|u|).  The step w_j D^2 * Phi(c_j/B) is one
+    erfc call; R runs on the fixed panels of :func:`_remainder_rule` in _rows
+    blocks, both atoms in one pass (:func:`_remainder`), in the log domain,
     exp(log(w_j D^2) - ((u - c_j)/B)^2 / 2), so spike weights far below 1e-16
     keep their digits.  Points with B < 2 use fixed Gauss-Hermite instead.
     """
     d, b, c = _two_point_log_odds(prior, s_arr)
-    out = np.empty_like(s_arr)
+    lwd = prior.log_weight_array + math.log(d * d)          # log(w_j D^2)
     small = b < _TWO_POINT_MIN_B
-    if small.any():     # skip empty calls: the root finders make many size-1 calls
-        out[small] = _rows(functools.partial(_mmse_nodes, prior, n=_TWO_POINT_SMALL_B_NODES),
-                           s_arr[small], _TWO_POINT_SMALL_B_NODES)
+    if not small.any():     # the common case: no split, no scatter
+        return _step_plus_remainder(lwd, b, c)
+    out = np.empty_like(s_arr)
+    out[small] = _rows(functools.partial(_mmse_nodes, prior, n=_TWO_POINT_SMALL_B_NODES),
+                       _TWO_POINT_SMALL_B_NODES, s_arr[small])
     big = ~small
     if big.any():
-        step = np.exp(prior.log_weight_array + math.log(d * d)) \
-            @ (0.5 * _numerics.erfc((c[:, big] / b[big]) * -math.sqrt(0.5)))  # Phi(c_j/B)
-        out[big] = step + _rows(functools.partial(_remainder, prior), s_arr[big],
-                                _remainder_rule()[0].size)
+        out[big] = _step_plus_remainder(lwd, b[big], c[:, big])
     return out
 
 
-def _remainder(prior: DiscretePrior, s_arr: np.ndarray) -> np.ndarray:
-    """D^2 * sum_j w_j R(c_j, B) on the fixed rule of :func:`_remainder_rule`."""
-    d, b, c = _two_point_log_odds(prior, s_arr)
+def _step_plus_remainder(lwd: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """D^2 * sum_j w_j (Phi(c_j/B) + R(c_j, B)), with lwd = log(w_j D^2)."""
+    step = np.exp(lwd) @ (0.5 * _numerics.erfc((c / b) * -math.sqrt(0.5)))   # Phi(c_j/B)
+    return step + _rows(functools.partial(_remainder, lwd), _remainder_rule()[0].size, b, c)
+
+
+def _remainder(lwd: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """D^2 * sum_j w_j R(c_j, B) on the fixed rule of :func:`_remainder_rule`.
+
+    Both atoms run in one pass over a (2, S, K) workspace array, element for
+    element the arithmetic of one atom at a time, and each atom's node sum is
+    its own (S, K) matrix-vector product, so BLAS sums every row as it would
+    for that atom alone.
+    """
     u, wr = _remainder_rule()
-    (x,) = _scratch((s_arr.size, u.size), 1)
-    total = np.zeros_like(s_arr)
-    for lw_j, c_j in zip(prior.log_weight_array + math.log(d * d), c):
-        # lw_j - ((u - c_j)/b)^2 / 2 in place, per atom; halving is exact, so
-        # this is the same double as lw_j - 0.5*x*x.
-        np.subtract(u, c_j[:, None], out=x)
-        x /= b[:, None]
-        x *= x
-        x *= -0.5
-        x += lw_j
-        total += np.exp(x, out=x) @ wr
+    (x,) = _scratch((2, b.size, u.size), 1)
+    # lw_j - ((u - c_j)/b)^2 / 2 in place; halving is exact, so this is the
+    # same double as lw_j - 0.5*x*x.
+    np.subtract(u, c[:, :, None], out=x)
+    x /= b[:, None]
+    x *= x
+    x *= -0.5
+    x += lwd[:, None, None]
+    np.exp(x, out=x)
+    total = x[0] @ wr
+    total += x[1] @ wr
     return total / b
 
 
@@ -328,7 +342,7 @@ def _ladder(nodes_fn, prior, tol, nodes, s_arr, per_point=False):
     still active, so a point stops where a size-1 call would stop it.
     """
     def rung(n, s):
-        return _rows(functools.partial(nodes_fn, prior, n=n), s, n)
+        return _rows(functools.partial(nodes_fn, prior, n=n), n, s)
 
     if nodes is not None:
         return rung(nodes, s_arr)
@@ -351,30 +365,35 @@ def _ladder(nodes_fn, prior, tol, nodes, s_arr, per_point=False):
         f"stabilize within {tol:g} (prior {prior.label or prior.atoms})")
 
 
-def _rows(fn, s_arr: np.ndarray, width: int) -> np.ndarray:
+def _rows(fn, width: int, *arrays) -> np.ndarray:
     """``fn`` of a fixed rule with ``width`` nodes, on blocks of at most
-    ``_BLOCK // width`` points of ``s_arr``.
+    ``_BLOCK // width`` points, sliced from the last axis of each of ``arrays``.
 
     The rules' node sums are matrix-vector products, and OpenBLAS sums a row
     with a kernel picked by the row's place in groups of four.  Blocks are a
-    multiple of four rows, so each row gets the value one call on all of
-    ``s_arr`` gives it.  A last block of one row would reach BLAS as a dot
+    multiple of four rows, so each row gets the value one call on all the
+    points gives it.  A last block of one row would reach BLAS as a dot
     product, so it joins the block before it.  The exception is a call big
     enough for BLAS to split across threads (241 to 255 rows at 1921 nodes,
     OpenBLAS 0.3.31), where the split can move rows between groups; the blocks
     are never split, so their values do not depend on the thread count.
     """
     rows = max(4, _BLOCK // width // 4 * 4)
-    out = np.empty_like(s_arr)
-    edges = [*range(0, max(s_arr.size - 1, 1), rows), s_arr.size]
+    size = arrays[0].shape[-1]
+    if size <= rows + 1:        # one block, as the root finders' size-1 calls are
+        return fn(*arrays)
+    out = np.empty(size)
+    edges = [*range(0, size - 1, rows), size]
     for lo, hi in zip(edges, edges[1:]):
-        out[lo:hi] = fn(s_arr[lo:hi])
+        out[lo:hi] = fn(*(a[..., lo:hi] for a in arrays))
     return out
 
 
 def _snr_grid(s_values) -> np.ndarray:
     s_arr = np.asarray(s_values, dtype=float)
-    if not ((s_arr >= 0.0) & (s_arr < math.inf)).all():      # NaN fails both
+    # NaN fails both tests; a 0-d s is tested as a float, without ufunc calls.
+    if not (0.0 <= float(s_arr) < math.inf if s_arr.ndim == 0
+            else ((s_arr >= 0.0) & (s_arr < math.inf)).all()):
         raise ValueError("SNR grid values must be finite and nonnegative")
     return s_arr
 
@@ -387,13 +406,15 @@ def _curve(s_values, at_zero: float, fn):
     any shape, a 0-d s gives a float and any other s an array of its shape.
     """
     s_arr = _snr_grid(s_values)
+    if s_arr.ndim == 0:         # the root finders' scalar calls: no index arrays
+        return float(fn(s_arr.reshape(1))[0]) if s_arr > 0.0 else float(at_zero)
     flat = s_arr.ravel()
     out = np.full_like(flat, at_zero)
     idx = np.flatnonzero(flat > 0.0)
     for k in range(0, idx.size, _CHUNK):
         sel = idx[k:k + _CHUNK]
         out[sel] = fn(flat[sel])
-    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
+    return out.reshape(s_arr.shape)
 
 
 def _mi_tol(prior: DiscretePrior) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, amp, channel, potential, thresholds
-from .prior import prior_from_spec, two_point, two_point_entropy
+from .prior import _as_double, prior_from_spec, two_point, two_point_entropy
 
 
 class SpecError(ValueError):
@@ -86,7 +86,8 @@ class SweepSpec:
         if self.jobs < 1:
             raise SpecError(f"jobs: must be >= 1, got {self.jobs}")
         for name, value in self.__dict__.items():
-            if any(isinstance(v, float) and not math.isfinite(v)
+            # An int past the largest double, such as p, fails here by name.
+            if any(isinstance(v, (int, float)) and not math.isfinite(_as_double(v, name))
                    for v in (value if isinstance(value, list) else [value])):
                 raise SpecError(f"{name}: must be finite, got {value!r}")
         # "a|b" is satisfied by either field; None and [] count as unset.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,13 +86,29 @@ def _check_epsilon(epsilon) -> float:
     return float(epsilon)
 
 
+def _as_double(value, name: str) -> float:
+    """``value`` as a Python float; a ValueError naming ``name`` if it overflows one,
+    as an int past the largest double does."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a double") from None
+
+
 def two_point(epsilon: float) -> DiscretePrior:
     """Standardized two-atom prior with spike probability ``epsilon``.
 
     Atoms are ``(-sqrt(eps/(1-eps)), sqrt((1-eps)/eps))`` with weights
-    ``(1-eps, eps)``, which makes the mean 0 and the variance 1.
+    ``(1-eps, eps)``, which makes the mean 0 and the variance 1.  ``epsilon``
+    is checked on every call, and each valid value, as a float, gets one
+    instance per process (the latest 256 are kept), so its cached arrays are
+    built once.
     """
-    epsilon = _check_epsilon(epsilon)
+    return _two_point(_check_epsilon(epsilon))
+
+
+@lru_cache(maxsize=256)
+def _two_point(epsilon: float) -> DiscretePrior:
     mu1 = -math.sqrt(epsilon / (1.0 - epsilon))
     mu2 = math.sqrt((1.0 - epsilon) / epsilon)
     if mu2 == math.inf:
@@ -124,7 +140,7 @@ def standardize_bernoulli(epsilon: float, p: int, sigma2: float):
         raise ValueError(f"dimension p must be >= 1 and finite, got {p!r}")
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"noise variance sigma2 must be positive and finite, got {sigma2!r}")
-    p, sigma2 = float(p), float(sigma2)
+    p, sigma2 = _as_double(p, "dimension p"), _as_double(sigma2, "noise variance sigma2")
     snr = p * epsilon * (1.0 - epsilon) / sigma2
     if snr == math.inf:
         raise ValueError(f"noise variance sigma2 = {sigma2!r} is too small: the snr overflows")

@@ -13,8 +13,8 @@ import math
 from dataclasses import asdict, dataclass
 
 from . import channel, potential
-from .prior import (DiscretePrior, _check_epsilon, entropy, standardize_bernoulli, two_point,
-                    two_point_entropy)
+from .prior import (DiscretePrior, _as_double, _check_epsilon, entropy, standardize_bernoulli,
+                    two_point, two_point_entropy)
 
 KIND_MMSE = "mmse"
 KIND_AMP = "amp"
@@ -64,7 +64,7 @@ def sparse_thresholds(k: float, p: float, sigma2: float):
         raise ValueError(f"need 0 < k < p with p finite, got k={k!r}, p={p!r}")
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"noise variance sigma2 must be positive and finite, got {sigma2!r}")
-    k, p, sigma2 = float(k), float(p), float(sigma2)
+    k, p, sigma2 = _as_double(k, "k"), _as_double(p, "p"), _as_double(sigma2, "sigma2")
     if k / sigma2 == math.inf:
         raise ValueError(f"noise variance sigma2 = {sigma2!r} is too small: k/sigma2 overflows")
     log_ratio = math.log(p / k)
@@ -134,6 +134,7 @@ def report(epsilon: float, snr: float | None = None, *, p: float | None = None,
     sparse = (None, None)
     if p is not None and sigma2 is not None:
         # Validates sigma2 > 0 and 0 < k < p before snr is derived from them.
+        p = _as_double(p, "p")
         sparse = sparse_thresholds(epsilon * p, p, sigma2)
         if snr is None:
             _, snr = standardize_bernoulli(epsilon, p, sigma2)

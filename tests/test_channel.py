@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp, xlogy
 
 import rsphase
-from rsphase import channel
+from rsphase import _numerics, channel
 from rsphase.amp import mc_mmse, mc_mmse_two_point
 from rsphase.channel import (
     QuadratureError,
@@ -145,8 +145,54 @@ def _closed_form_mmse(eps, s):
                for lo, hi in ((z_step - 12.0, z_step), (z_step, z_step + 12.0)))
 
 
+def _two_point_per_atom(prior, s_arr):
+    """The exact two-point M one atom at a time, all points in one block: the
+    log-odds, the step, one remainder pass per atom, and 241-node Gauss-Hermite
+    where B < 2."""
+    lw = prior.log_weight_array
+    d = prior.atoms[1] - prior.atoms[0]
+    with np.errstate(over="ignore"):
+        b = np.sqrt(s_arr) * d
+        c = (lw[::-1] - lw)[:, None] - 0.5 * s_arr * d * d
+    out = np.empty_like(s_arr)
+    small = b < 2.0
+    if small.any():
+        out[small] = channel._mmse_nodes(prior, s_arr[small], 241)
+    b, c = b[~small], c[:, ~small]
+    lwd = lw + math.log(d * d)
+    step = np.exp(lwd) @ (0.5 * _numerics.erfc((c / b) * -math.sqrt(0.5)))
+    u, wr = channel._remainder_rule()
+    total = np.zeros_like(b)
+    for lw_j, c_j in zip(lwd, c):
+        x = np.subtract(u, c_j[:, None])
+        x /= b[:, None]
+        x *= x
+        x *= -0.5
+        x += lw_j
+        total += np.exp(x) @ wr
+    out[~small] = step + total / b
+    return out
+
+
 class TestTwoPointExact:
     """Two-atom M is a closed-form step plus a fixed-rule remainder, no ladder."""
+
+    @pytest.mark.parametrize("prior", [two_point(e) for e in
+                                       (0.3, 0.1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11)]
+                             + [NEGATIVE_SPIKE],
+                             ids=["0.3", "0.1", "1e-2", "1e-4", "1e-6", "1e-8", "1e-11",
+                                  "negative-spike"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 31, 32, 33, 71, 72, 73])
+    def test_bitwise_equal_to_per_atom_reference(self, prior, size):
+        # Both atoms share one remainder pass in _rows blocks of 68 points; the
+        # values must be the bits of one atom at a time on one block.  B runs
+        # from 0.5 to 40 up and down, so every size has points on both sides of
+        # B = 2 (size 1 in turn) and 71 to 73 points span two blocks.
+        d = prior.atoms[1] - prior.atoms[0]
+        for b in (np.geomspace(0.5, 40.0, size), np.geomspace(40.0, 0.5, size)):
+            s_arr = (b / d) ** 2
+            assert np.array_equal(channel._mmse_two_point(prior, s_arr),
+                                  _two_point_per_atom(prior, s_arr))
 
     @pytest.mark.parametrize("prior", [two_point(e) for e in
                                        (0.3, 0.1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11)]
@@ -390,7 +436,7 @@ class TestEvalModes:
 class TestScalarWrappers:
     """Scalar evaluations are the size-1 case of the curve evaluations."""
 
-    @pytest.mark.parametrize("prior", [two_point(0.1), two_point(1e-16)])
+    @pytest.mark.parametrize("prior", [two_point(e) for e in (0.1, 1e-16, 1e-2, 1e-6)])
     def test_bitwise_equal_to_curve(self, prior):
         for s in (0.0, 7e-15, 0.3, 4.0):
             assert mmse(prior, s) == mmse_curve(prior, [s])[0]

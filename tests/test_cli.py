@@ -499,7 +499,12 @@ class TestRuntimeErrors:
         ["amp", "--p", "100", "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
          "--seeds", "1", "--t-max", "0"],
         ["thresholds", "--epsilon", "0.1", "--p", "100", "--sigma2", "0"],
-    ], ids=["amp-p0", "amp-snr0", "amp-negative-delta", "amp-t-max-0", "thresholds-sigma2-0"])
+        # An int p past the largest double.
+        ["thresholds", "--epsilon", "0.1", "--p", "1" + "0" * 400, "--sigma2", "1"],
+        ["amp", "--p", "1" + "0" * 400, "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
+         "--seeds", "1", "--t-max", "5"],
+    ], ids=["amp-p0", "amp-snr0", "amp-negative-delta", "amp-t-max-0", "thresholds-sigma2-0",
+            "thresholds-p-past-double", "amp-p-past-double"])
     def test_bad_input_is_one_line_and_writes_nothing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(argv + ["--out", str(out)])

@@ -64,6 +64,15 @@ class TestTwoPoint:
         assert prior == two_point(float(eps))
         assert all(type(v) is float for v in prior.atoms + prior.weights)
 
+    def test_one_instance_per_epsilon(self):
+        assert two_point(0.1) is two_point(np.float64(0.1))
+
+    @pytest.mark.parametrize("eps", [0.0, float("nan"), 1e-320])
+    def test_invalid_epsilon_raises_on_every_call(self, eps):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="epsilon"):
+                two_point(eps)
+
     def test_spike_atom_overflow_names_epsilon(self):
         # Below about 5.6e-309, (1 - eps)/eps overflows to inf.
         assert math.isfinite(two_point(6e-309).atoms[1])
@@ -145,6 +154,11 @@ class TestStandardizeBernoulli:
     ])
     def test_non_finite_rejected_by_name(self, p, sigma2, name):
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            standardize_bernoulli(0.1, p, sigma2)
+
+    @pytest.mark.parametrize("p, sigma2, name", [(10**400, 1.0, "p"), (10, 10**400, "sigma2")])
+    def test_integer_past_the_doubles_rejected_by_name(self, p, sigma2, name):
+        with pytest.raises(ValueError, match=rf"\b{name} is too large for a double"):
             standardize_bernoulli(0.1, p, sigma2)
 
     def test_overflowing_snr_names_sigma2(self):

@@ -100,6 +100,16 @@ class TestSparseThresholds:
         with pytest.raises(ValueError, match="sigma2"):
             sparse_thresholds(1.0, 10.0, math.inf)
 
+    @pytest.mark.parametrize("k, p, sigma2, name", [
+        (1.0, 10**400, 1.0, "p"), (10**399, 10**400, 1.0, "k"), (1.0, 10, 10**400, "sigma2"),
+    ])
+    def test_integer_past_the_doubles_rejected_by_name(self, k, p, sigma2, name):
+        with pytest.raises(ValueError, match=rf"^{name} is too large for a double"):
+            sparse_thresholds(k, p, sigma2)
+        if name == "p":
+            with pytest.raises(ValueError, match=r"^p is too large for a double"):
+                report(0.1, p=p, sigma2=sigma2)
+
 
 class TestLConstant:
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
