@@ -10,11 +10,14 @@ overflow already around eps ~ 1e-4.
 M of a two-atom prior is one expectation, D^2 * sum_j w_j E_z sigma(c_j + B z)^2
 over the other atom's posterior log-odds (:func:`_two_point_log_odds`), and is
 evaluated exactly: a closed-form step plus a remainder on a fixed
-Gauss-Legendre rule (:func:`_mmse_two_point`).  Each call forms the log-odds
-once, and both atoms share one remainder pass.  I, and M of priors with more
-atoms, use adaptive Gauss-Hermite quadrature.  M's Gauss-Hermite kernel
-(:func:`_mmse_nodes`) is one for every prior; at a fixed order (``nodes=``) it
-is the oracle for the exact two-point M, and shares no formula with it.  Under
+Gauss-Legendre rule (:func:`_mmse_two_point`).  That rule's nodes and weights
+are literal constants, the doubles ``np.polynomial.legendre.leggauss(12)``
+returns, pinned by ``TestTwoPointExact::test_remainder_rule_is_leggauss`` in
+``tests/test_channel.py``.  Each call forms the log-odds once, and both atoms
+share one remainder pass.  I, and M of priors with more atoms, use adaptive
+Gauss-Hermite quadrature.  M's Gauss-Hermite kernel (:func:`_mmse_nodes`) is
+one for every prior; at a fixed order (``nodes=``) it is the oracle for the
+exact two-point M, and shares no formula with it.  Under
 atom j the log posterior of atom k is affine in the node z,
 lw_k + s*a_k*(a_j - a_k/2) + sqrt(s)*a_k*z, once the common -y^2/2 is dropped,
 so the generic kernels hold one (S, K) array per atom (:func:`_log_posteriors`),
@@ -75,7 +78,13 @@ _workspace = threading.local()
 # Two-point remainder rule: Gauss-Legendre panels in |u| on each side of u = 0.
 # The remainder's weight decays like exp(-|u|), so it is below 1e-20 past 48.
 _PANEL_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0)
-_PANEL_NODES = 12
+# Positive half of the 12-node Gauss-Legendre rule on [-1, 1] of every panel
+# (see _remainder_rule); leggauss(12)'s nodes are odd and its weights even, bit
+# for bit, so mirroring the half gives the whole rule.
+_GL_NODES = (0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+             0.7699026741943047, 0.9041172563704748, 0.9815606342467192)
+_GL_WEIGHTS = (0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+               0.16007832854334642, 0.10693932599531907, 0.04717533638651141)
 # Below this log-odds spread B the two-point M stays on fixed Gauss-Hermite,
 # where 241 nodes already agree with 1921 to ~1e-14.
 _TWO_POINT_MIN_B = 2.0
@@ -221,8 +230,15 @@ def _remainder_rule():
     The weights fold in rho(u) = sigma(u)^2 - [u > 0] and 1/sqrt(2 pi), so that
     R(A, B) = sum_k w_k exp(-((u_k - A)/B)^2 / 2) / B.  For u = |u| > 0 that is
     -sigma(-u)(2 - sigma(-u)); for u = -|u| it is sigma(-|u|)^2.
+
+    The Gauss-Legendre nodes and weights are literal constants, the doubles
+    ``np.polynomial.legendre.leggauss(12)`` returns, so no run-time path
+    imports numpy.polynomial or runs its LAPACK eigensolve;
+    ``tests/test_channel.py::TestTwoPointExact::test_remainder_rule_is_leggauss``
+    pins them.
     """
-    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    x = np.concatenate([np.negative(_GL_NODES[::-1]), _GL_NODES])
+    w = np.concatenate([_GL_WEIGHTS[::-1], _GL_WEIGHTS])
     edges = np.asarray(_PANEL_EDGES)
     lo, hi = edges[:-1, None], edges[1:, None]
     t = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()

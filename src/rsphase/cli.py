@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -130,22 +130,26 @@ class SweepSpec:
         return self
 
 
-def _write_csv(spec: SweepSpec, name: str, columns: list, rows: list,
+def _write_csv(spec: SweepSpec, name: str, columns: list, rows: typing.Iterable,
                trailing_comments: list = ()) -> str:
-    """Write ``name`` under ``spec.out`` with the reproducibility header."""
-    buf = io.StringIO()
-    for line in (f"# rsphase {__version__}", f"# mode={spec.mode} seed={spec.seed}",
-                 f"# config_sha256={spec.config_hash()}",
-                 f"# columns: {','.join(columns)}"):
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    for line in trailing_comments:
-        buf.write(line + "\n")
+    """Write ``name`` under ``spec.out`` with the reproducibility header.
+
+    Header and rows go straight into the open file as ``rows`` yields them.
+    Callers compute every number first and pass rows that only format it, so
+    the file is opened after the last step that can fail, and a failing call
+    writes nothing.
+    """
     path = os.path.join(spec.out, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        for line in (f"# rsphase {__version__}", f"# mode={spec.mode} seed={spec.seed}",
+                     f"# config_sha256={spec.config_hash()}",
+                     f"# columns: {','.join(columns)}"):
+            fh.write(line + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        for line in trailing_comments:
+            fh.write(line + "\n")
     return path
 
 
@@ -161,8 +165,8 @@ def _run_channel(spec: SweepSpec) -> list:
     prior = spec.resolve_prior()
     s_grid = np.geomspace(spec.s_min, spec.s_max, spec.s_points)
     curve = channel.channel_curve(prior, s_grid)
-    rows = [[_fmt(s), _fmt(i), _fmt(m), curve.mode]
-            for s, i, m in zip(curve.s_grid, curve.i_values, curve.m_values)]
+    rows = ([_fmt(s), _fmt(i), _fmt(m), curve.mode] for s, i, m in
+            zip(curve.s_grid.tolist(), curve.i_values.tolist(), curve.m_values.tolist()))
     return [_write_csv(spec, "channel.csv", ["s", "i_nats", "mmse", "mode"], rows)]
 
 
@@ -174,7 +178,8 @@ def _run_potential(spec: SweepSpec) -> list:
                           hi * (1 + potential.BRACKET_PAD), spec.s_points)
     f_vals = potential.potential(spec.delta, spec.snr, prior, s_grid)
     fp_vals = potential.potential_deriv(spec.delta, spec.snr, prior, s_grid)
-    rows = [[_fmt(s), _fmt(f), _fmt(fp)] for s, f, fp in zip(s_grid, f_vals, fp_vals)]
+    rows = ([_fmt(s), _fmt(f), _fmt(fp)]
+            for s, f, fp in zip(s_grid.tolist(), f_vals.tolist(), fp_vals.tolist()))
     summary = ("# summary: f_star=" + _fmt(land.f_star)
                + " s_lower_star=" + _fmt(land.s_lower_star)
                + " s_upper_star=" + _fmt(land.s_upper_star)
@@ -217,9 +222,8 @@ def _run_phase(spec: SweepSpec) -> list:
             results = list(pool.map(_phase_cell, cells, chunksize=1))
     else:
         results = [_phase_cell(c) for c in cells]
-    rows = []
-    for (eps, snr, r, kind), (value, err) in zip(cells, results):
-        rows.append([_fmt(eps), _fmt(snr), _fmt(r), kind, value, err])
+    rows = ([_fmt(eps), _fmt(snr), _fmt(r), kind, value, err]
+            for (eps, snr, r, kind), (value, err) in zip(cells, results))
     return [_write_csv(spec, "phase.csv",
                        ["epsilon", "snr", "r", "kind", "m_value", "error"], rows)]
 
@@ -267,29 +271,31 @@ def _run_amp(spec: SweepSpec) -> list:
 
 def _run_figure1(spec: SweepSpec) -> list:
     t_grid = np.linspace(spec.t_min, spec.t_max_grid, spec.t_points)
-    rows = []
+    curves = []
     for eps in spec.epsilons:
         h = two_point_entropy(eps)
         curve = channel.channel_curve(two_point(eps), 2.0 * h * t_grid)
-        for t, i_val, m_val in zip(t_grid, curve.i_values, curve.m_values):
-            rows.append([_fmt(eps), _fmt(t), _fmt(i_val / h), _fmt(m_val)])
+        curves.append((eps, (curve.i_values / h).tolist(), curve.m_values.tolist()))
+    t_list = t_grid.tolist()
+    rows = ([_fmt(eps), _fmt(t), _fmt(i_norm), _fmt(m_val)] for eps, i_vals, m_vals in curves
+            for t, i_norm, m_val in zip(t_list, i_vals, m_vals))
     return [_write_csv(spec, "figure1.csv", ["epsilon", "t", "i_norm", "m_value"], rows)]
 
 
 def _run_figure2(spec: SweepSpec) -> list:
     t_grid = np.linspace(spec.t_min, spec.t_max_grid, spec.t_points)
     eps = spec.epsilon
-    rows = []
-    for r in spec.rs:
-        if eps == 0.0:
-            vals = potential.limit_potential(r, spec.snr, t_grid)
-            mode = "limit"
-        else:
-            vals = potential.normalized_curve(eps, r, spec.snr, t_grid)
-            mode = (channel.MODE_QUADRATURE if channel.approx_epsilon(two_point(eps)) is None
-                    else channel.MODE_APPROX)
-        for t, v in zip(t_grid, vals):
-            rows.append([_fmt(t), _fmt(v), _fmt(r), mode])
+    if eps == 0.0:
+        curves = [potential.limit_potential(r, spec.snr, t_grid) for r in spec.rs]
+        mode = "limit"
+    else:
+        # One I curve serves every r.
+        curves = potential.normalized_curve(eps, spec.rs, spec.snr, t_grid)
+        mode = (channel.MODE_QUADRATURE if channel.approx_epsilon(two_point(eps)) is None
+                else channel.MODE_APPROX)
+    t_list = t_grid.tolist()
+    rows = ([_fmt(t), _fmt(v), _fmt(r), mode] for r, vals in zip(spec.rs, curves)
+            for t, v in zip(t_list, vals.tolist()))
     return [_write_csv(spec, "figure2.csv", ["t", "F_norm", "r", "mode"], rows)]
 
 
@@ -457,7 +463,9 @@ def _flag_type(hint):
     return {list[float]: _float_list, list[str]: _str_list}.get(hint, hint)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it as it was, so it is reused."""
     parser = argparse.ArgumentParser(
         prog="rsphase",
         description="Replica-symmetric channel curves, potential minimizers, "

@@ -315,7 +315,7 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
                               (lo, hi), multi, s_best)
 
 
-def normalized_curve(epsilon: float, r: float, snr: float, t_values):
+def normalized_curve(epsilon: float, r, snr: float, t_values):
     """Potential rescaled by the prior entropy, F(2*H*t)/H, at t (a float in
     gives a float out, an array keeps its shape).
 
@@ -324,13 +324,22 @@ def normalized_curve(epsilon: float, r: float, snr: float, t_values):
     are directly comparable on the t axis.  By I' = M/2 the normalized
     information is I(2*H*t)/H, so the curve is the channel layer's information
     rescaled by 2*H, plus the rescaled penalty.
+
+    r may also be a sequence.  Then the result has one row per r, in order,
+    of shape ``(len(r),) + np.shape(t_values)``, and each row is bit for bit
+    the result of the call with that r alone.  Every r is checked as that
+    call checks it, all before I is computed, and I is computed once.
     """
     t_arr = _t_grid(t_values)
-    r, snr = _check_params(r, snr, "r")
+    scalar = np.ndim(r) == 0
+    rs = [_check_params(v, snr, "r")[0] for v in ([r] if scalar else r)]
+    snr = _check_snr(snr)
     h = two_point_entropy(epsilon)
     c = math.log1p(snr)
     i_vals, _ = channel.mutual_info_eval_curve(two_point(epsilon), 2.0 * h * t_arr)
-    return i_vals / h + (r / c) * _logdiv(t_arr * c / (r * snr))
+    i_norm = i_vals / h
+    rows = [i_norm + (v / c) * _logdiv(t_arr * c / (v * snr)) for v in rs]
+    return rows[0] if scalar else np.reshape(rows, (len(rs),) + t_arr.shape)
 
 
 normalized_potential = normalized_curve

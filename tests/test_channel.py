@@ -229,6 +229,21 @@ class TestTwoPointExact:
         assert mmse_curve(two_point(eps), [s])[0] == pytest.approx(_closed_form_mmse(eps, s),
                                                                    rel=1e-11)
 
+    def test_remainder_rule_is_leggauss(self):
+        # The rule's Gauss-Legendre nodes and weights are literals; the
+        # leggauss(12) construction is the oracle, bit for bit.
+        x, w = np.polynomial.legendre.leggauss(12)
+        assert np.array_equal(x[6:], channel._GL_NODES)
+        assert np.array_equal(w[6:], channel._GL_WEIGHTS)
+        edges = np.asarray(channel._PANEL_EDGES)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        t = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
+        wt = (0.5 * (hi - lo) * w).ravel() / math.sqrt(2.0 * math.pi)
+        sig = np.exp(-t) / (1.0 + np.exp(-t))
+        u, wr = channel._remainder_rule()
+        assert np.array_equal(u, np.concatenate([t, -t]))
+        assert np.array_equal(wr, np.concatenate([-wt * sig * (2.0 - sig), wt * sig * sig]))
+
     @pytest.mark.parametrize("prior", [two_point(0.1), two_point(1e-4), two_point(1e-8),
                                        NEGATIVE_SPIKE],
                              ids=["0.1", "1e-4", "1e-8", "negative-spike"])

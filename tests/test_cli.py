@@ -21,6 +21,11 @@ from rsphase.prior import two_point, two_point_entropy
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get(
+        "PYTHONPATH")])))
+
+
 def read_csv(path):
     comments, rows = [], []
     with open(path, encoding="utf-8") as fh:
@@ -70,14 +75,58 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get(
-        "PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path), json.dumps(_TERNARY)],
-                          env=env, capture_output=True, text=True, timeout=600)
+                          env=_child_env(), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["codes"] == [0] * len(result["codes"])
     assert result["scipy"] == []
+
+
+# Small calls of every subcommand that writes files.
+_SMALL_CALLS = {
+    "channel": ["channel", "--epsilon", "1e-4", "--points", "20"],
+    "potential": ["potential", "--epsilon", "0.1", "--delta", "1", "--snr", "5",
+                  "--points", "20"],
+    "thresholds": ["thresholds", "--epsilon", "0.1", "--snr", "5"],
+    # r = -1 fails its cells, so the error column is written too.
+    "phase": ["phase", "--epsilons", "1e-2,1e-16", "--snrs", "5", "--rs", "0.5,-1",
+              "--kinds", "mmse,amp"],
+    "amp": ["amp", "--p", "200", "--delta", "0.86", "--snr", "10", "--epsilon", "0.1",
+            "--seeds", "2", "--t-max", "10"],
+    "figure1": ["figure1", "--epsilons", "1e-4,1e-16", "--points", "20"],
+    "figure2": ["figure2", "--epsilon", "1e-4", "--snr", "5", "--rs", "0.5,2", "--points", "20"],
+}
+
+
+def test_cli_leaves_numpy_polynomial_out(tmp_path):
+    # The two-point remainder's Gauss-Legendre rule is literal constants, so no
+    # run-time path imports numpy.polynomial.
+    code = ("import sys\nfrom rsphase import cli\n"
+            "for k, argv in enumerate(%r):\n"
+            "    assert cli.main(argv + ['--out', sys.argv[1] + str(k)]) == 0\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+            % [_SMALL_CALLS[name] for name in ("channel", "potential", "phase")])
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=_child_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
+class TestRepeatedCalls:
+    """A process that calls main again reuses the parser and writes the same bytes."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", list(_SMALL_CALLS.values()), ids=list(_SMALL_CALLS))
+    def test_second_call_writes_the_same_bytes(self, argv, tmp_path, capsys):
+        for name in ("a", "b"):
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        files = sorted(os.listdir(tmp_path / "a"))
+        assert files and files == sorted(os.listdir(tmp_path / "b"))
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestChannelCommand:
@@ -215,10 +264,8 @@ class TestPhaseCommand:
 
     def test_cli_import_leaves_the_pool_out(self):
         # A fresh interpreter: the pool is imported only when a sweep uses it.
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get(
-            "PYTHONPATH")])))
         code = "import sys, rsphase.cli; print('concurrent.futures' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -469,12 +516,10 @@ class TestRuntimeErrors:
     def _potential_in_child(delta, snr, tmp_path):
         # A child process, so that the stderr seen is the whole of it, numpy's
         # warnings included (the test session would turn them into errors).
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get(
-            "PYTHONPATH")])))
         return subprocess.run([sys.executable, "-m", "rsphase.cli", "potential", "--epsilon",
                                "0.1", "--delta", delta, "--snr", snr, "--out",
                                str(tmp_path / "out")],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=_child_env(), capture_output=True, text=True, timeout=120)
 
     def test_overflowing_delta_snr_is_one_line(self, tmp_path):
         # It must be the one error line, with no warning and no traceback.
@@ -489,27 +534,32 @@ class TestRuntimeErrors:
         assert proc.stderr == ("error: delta*snr = 1.7976931348623157e+308 is too large: "
                                "the padded scan grid's upper end overflows\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["amp", "--p", "0", "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
-         "--seeds", "1", "--t-max", "5"],
-        ["amp", "--p", "100", "--delta", "0.5", "--snr", "0", "--epsilon", "0.1",
-         "--seeds", "1", "--t-max", "5"],
-        ["amp", "--p", "100", "--delta", "-1", "--snr", "5", "--epsilon", "0.1",
-         "--seeds", "1", "--t-max", "5"],
-        ["amp", "--p", "100", "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
-         "--seeds", "1", "--t-max", "0"],
-        ["thresholds", "--epsilon", "0.1", "--p", "100", "--sigma2", "0"],
+    @pytest.mark.parametrize("argv, code", [
+        (["amp", "--p", "0", "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
+          "--seeds", "1", "--t-max", "5"], 2),
+        (["amp", "--p", "100", "--delta", "0.5", "--snr", "0", "--epsilon", "0.1",
+          "--seeds", "1", "--t-max", "5"], 2),
+        (["amp", "--p", "100", "--delta", "-1", "--snr", "5", "--epsilon", "0.1",
+          "--seeds", "1", "--t-max", "5"], 2),
+        (["amp", "--p", "100", "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
+          "--seeds", "1", "--t-max", "0"], 2),
+        (["thresholds", "--epsilon", "0.1", "--p", "100", "--sigma2", "0"], 1),
         # An int p past the largest double.
-        ["thresholds", "--epsilon", "0.1", "--p", "1" + "0" * 400, "--sigma2", "1"],
-        ["amp", "--p", "1" + "0" * 400, "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
-         "--seeds", "1", "--t-max", "5"],
+        (["thresholds", "--epsilon", "0.1", "--p", "1" + "0" * 400, "--sigma2", "1"], 1),
+        (["amp", "--p", "1" + "0" * 400, "--delta", "0.5", "--snr", "5", "--epsilon", "0.1",
+          "--seeds", "1", "--t-max", "5"], 1),
+        # The last two fail after numbers exist: rows are streamed into the file,
+        # so it must be opened only once every number is computed.
+        (["figure2", "--epsilon", "1e-4", "--snr", "5", "--rs", "0.5,-1"], 1),
+        (["potential", "--epsilon", "0.1", "--delta", "1e-17", "--snr", "1"], 3),
     ], ids=["amp-p0", "amp-snr0", "amp-negative-delta", "amp-t-max-0", "thresholds-sigma2-0",
-            "thresholds-p-past-double", "amp-p-past-double"])
-    def test_bad_input_is_one_line_and_writes_nothing(self, argv, tmp_path, capsys):
+            "thresholds-p-past-double", "amp-p-past-double", "figure2-negative-r",
+            "potential-unresolvable-bracket"])
+    def test_bad_input_is_one_line_and_writes_nothing(self, argv, code, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(argv + ["--out", str(out)])
         err = capsys.readouterr().err
-        assert rc != 0
+        assert rc == code
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 

@@ -447,6 +447,26 @@ class TestNormalizedPotential:
             assert normalized_potential(eps, r, snr, t) == pytest.approx(expected,
                                                                          rel=1e-9)
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-16])
+    def test_sequence_of_r_gives_the_scalar_rows(self, eps):
+        # One I curve serves every r; each row keeps the bits of its own call.
+        rs, snr = [0.5, 0.9, 1.1, 2.3], 5.0
+        t = np.linspace(0.02, 6.0, 150)
+        rows = normalized_curve(eps, rs, snr, t)
+        assert rows.shape == (len(rs), t.size)
+        for r, row in zip(rs, rows):
+            assert np.array_equal(row, normalized_curve(eps, r, snr, t))
+        assert np.array_equal(normalized_curve(eps, rs, snr, 1.0),
+                              [normalized_curve(eps, r, snr, 1.0) for r in rs])
+
+    def test_sequence_of_r_is_checked_before_i(self, monkeypatch):
+        def no_i(*args, **kwargs):
+            raise AssertionError("I computed before every r was checked")
+
+        monkeypatch.setattr(channel, "mutual_info_eval_curve", no_i)
+        with pytest.raises(ValueError, match="r must be positive, got -1.0"):
+            normalized_curve(1e-4, [0.5, -1.0], 5.0, [1.0, 2.0])
+
     def test_limit_value_at_t_one(self):
         r, snr = 0.5, 5.0
         c = math.log1p(snr)
