@@ -3,9 +3,10 @@
 The potential F(s) = I(s) + (delta/2) * (x - ln x - 1) with x = s/(delta*snr)
 trades the channel information against an undersampling penalty.  Its global
 minimizers determine the limiting estimation error and its smallest
-stationary point the error reached by AMP, so this module locates both.  All
-stationary points lie strictly between delta*snr/(1+snr) and delta*snr, which
-bounds every search.
+stationary point the error reached by AMP, so this module locates both.  By
+I' = M/2 the stationary points are the roots of phi(s) = s*(M(s) + 1/snr) =
+delta, all strictly between delta*snr/(1+snr) and delta*snr, which bounds
+every search; :func:`smallest_stationary` isolates the first from M alone.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .prior import DiscretePrior, entropy, two_point, two_point_entropy
 
 GRID_POINTS = 2000
 SAMPLE_STRIDE = 16
-SCAN_POINTS = 4000
-SCAN_BLOCK = 32
+_EDGES = 33
+_SPLIT = 8
+_LEVELS = 4
 BRACKET_PAD = 1e-3
 EQUAL_MIN_TOL = 1e-8
 REFINE_RTOL = 1e-10
@@ -144,84 +146,88 @@ class PotentialLandscape:
 
 
 def smallest_stationary(delta: float, snr: float, prior: DiscretePrior) -> float:
-    """Smallest s at which F'(s) = 0.
+    """Smallest s at which F'(s) = 0: the first root of phi(s) = s*(M(s) + 1/snr) = delta.
 
-    Every stationary point solves s*(M(s) + 1/snr) = delta, so the residual is
-    scanned upward on ``SCAN_POINTS`` log-spaced points of the admissible
-    interval and the first sign change is refined by bisection.  The scan
-    order is what makes the result the *first* crossing; the residual is
-    continuous but not monotone.
+    M is read on ``_EDGES`` log edges of the admissible interval, and the first
+    edge with a nonnegative residual (delta*snr, if none before) closes the
+    bracket.  Each interval [a, b] below it is certified root-free when its
+    bound b*(M(a) + QUAD_TOL + 1/snr) - delta (:func:`_residual_range`) is
+    below -4*eps*delta, which rounding cannot reach.  The rest are split
+    ``_SPLIT`` ways, one M call per level, for at most ``_LEVELS`` levels, and
+    ``brentq`` refines the bracket.  An interval whose right end b is itself
+    undecided (residual above -b*QUAD_TOL) is not split, as no split certifies
+    the piece ending at b; like a scan step, it is vouched for by its end signs.
 
-    The scan reads M in blocks of ``SCAN_BLOCK`` points and skips what one
-    state-evolution step certifies.  After a block without a crossing, let m
-    be M at its last point.  M is nonincreasing, so every later s below the
-    state-evolution step delta/(m + 2*QUAD_TOL + 1/snr) has a negative
-    residual; the slack covers the evaluator's error once at that point and
-    once at s.  The skip tests this as the residual at M = m + 2*QUAD_TOL, in
-    the same floating-point arithmetic as the scan's own test, so it skips no
-    point the scan would flag, and the next block starts at the first point it
-    does not certify.  The upper end hi = delta*snr is never skipped: there
-    delta*snr - s is 0 and the test reads hi*(m + 2*QUAD_TOL) > 0.  So the
-    scan meets a crossing by hi at the latest, and it is a full scan's first.
-
-    Below snr ~1.1e-16, 1 + snr rounds to 1 and the interval is the one
-    double delta*snr, which is returned.  If M at the lower end rounds to its
-    s = 0 value, the prior's second moment, no crossing can be resolved and a
-    :class:`BracketError` names delta*snr as the cause.
+    This trusts M to ``QUAD_TOL``: a node ladder that does not reach it raises
+    :class:`channel.QuadratureError`.  Below snr ~1.1e-16 the interval is the
+    one double delta*snr, which is returned.  If M at the lower end rounds to
+    its s = 0 value, the prior's second moment, no crossing can be resolved and
+    a :class:`BracketError` names delta*snr as the cause.
     """
     delta, snr = _check_params(delta, snr)
     lo, hi = stationary_bracket(delta, snr)
     if lo == hi:
         return lo
 
-    grid = np.geomspace(lo, hi, SCAN_POINTS)
+    s = np.geomspace(lo, hi, _EDGES)
+    m, _ = channel.mmse_eval_curve(prior, s)
     # A few ulps of slack: the tail surrogate's M(0) is 1.0, not the rounded moment.
-    m_zero = float(prior.weight_array @ prior.atom_array ** 2)
-    start = 0
-    while start < SCAN_POINTS:
-        block = grid[start:start + SCAN_BLOCK]
-        m_vals, _ = channel.mmse_eval_curve(prior, block)
-        if start == 0 and m_vals[0] >= m_zero * (1.0 - 1e-15):
+    if m[0] >= float(prior.weight_array @ prior.atom_array ** 2) * (1.0 - 1e-15):
+        raise BracketError(
+            f"delta*snr = {delta * snr:g} puts the lower end of the admissible "
+            f"interval at s = {lo:g}, where 1 - M(s) rounds to 0, so the "
+            "stationary point cannot be resolved in double precision")
+    allowance = 4.0 * np.finfo(float).eps * delta
+    for level in range(_LEVELS + 1):
+        above = np.flatnonzero(_residual(delta, snr, s, m) >= 0.0)
+        if not above.size or above[0] == 0:
             raise BracketError(
-                f"delta*snr = {delta * snr:g} puts the lower end of the admissible "
-                f"interval at s = {lo:g}, where 1 - M(s) rounds to 0, so the "
-                "stationary point cannot be resolved in double precision")
-        above = np.flatnonzero(_residual(delta, snr, block, m_vals) >= 0.0)
-        if above.size:
+                "the stationary-point residual has no sign change above the lower "
+                "end of the admissible interval; this cannot happen exactly and "
+                "signals quadrature inaccuracy")
+        s, m = s[:above[0] + 1], m[:above[0] + 1]
+        _, upper = _residual_range(delta, snr, s, m)
+        # The bracket's right end is undecided, so the bracket is never split.
+        decided = _residual(delta, snr, s[1:], m[1:] + channel.QUAD_TOL) < -allowance
+        j = np.flatnonzero((upper >= -allowance) & decided)
+        if level == _LEVELS or not j.size:
             break
-        start += block.size
-        m_bound = m_vals[-1] + 2.0 * channel.QUAD_TOL
-        uncertified = np.flatnonzero(_residual(delta, snr, grid[start:], m_bound) >= 0.0)
-        start += int(uncertified[0]) if uncertified.size else 0
-    else:
-        raise BracketError(
-            "no sign change of the stationary-point residual inside the "
-            "admissible interval; signals quadrature inaccuracy")
-    k = start + int(above[0])
-    if k == 0:
-        raise BracketError(
-            "stationary-point residual is nonnegative at the lower interval "
-            "endpoint; this cannot happen exactly and signals quadrature "
-            "inaccuracy")
+        steps = (s[j + 1] / s[j])[:, None] ** (np.arange(1, _SPLIT) / _SPLIT)
+        new = np.minimum(s[j, None] * steps, s[j + 1, None])
+        m_new, _ = channel.mmse_eval_curve(prior, new)
+        # Row p: point p, then interval p's new points (np.insert's sort costs RSS).
+        grid = np.full((2, s.size, _SPLIT), np.nan)
+        grid[:, :, 0], grid[:, j, 1:] = (s, m), (new, m_new)
+        s, m = grid[:, ~np.isnan(grid[0])]
 
-    root = brentq(lambda s: _residual(delta, snr, s, channel.mmse_eval(prior, s)[0]),
-                  grid[k - 1], grid[k], xtol=lo * 1e-14, rtol=1e-12)
+    # Exact units of a power of two near delta: brentq's secant products of a
+    # residual and a step in s underflow at s ~ 1e-198 (eps 1e-200) otherwise.
+    scale = math.ldexp(1.0, -math.frexp(delta)[1])
+    root = brentq(lambda x: scale * _residual(delta, snr, x, channel.mmse_eval(prior, x)[0]),
+                  s[-2], s[-1], xtol=lo * 1e-14, rtol=1e-12)
     return float(root)
+
+
+def _residual_range(delta, snr, s, m):
+    """Bounds (lower, upper) of the residual on each interval [a, b] of the grid s,
+    at (a, M(b) - QUAD_TOL) and (b, M(a) + QUAD_TOL): M is nonincreasing and
+    each computed M is trusted to ``QUAD_TOL``."""
+    return (_residual(delta, snr, s[:-1], m[1:] - channel.QUAD_TOL),
+            _residual(delta, snr, s[1:], m[:-1] + channel.QUAD_TOL))
 
 
 def _certified_steps(delta, snr, prior, s_grid):
     """Per step k of ``s_grid``: the sign of F(s_grid[k+1]) - F(s_grid[k]) where M
     certifies it, else 0.
 
-    M is read at every ``SAMPLE_STRIDE``-th point and at the last.  M is
-    nonincreasing, so on a sample interval [s_a, s_b] the residual 2s*F'(s) =
-    s*(M(s) + 1/snr) - delta lies between its values at (s_a, m_b - QUAD_TOL)
-    and (s_b, m_a + QUAD_TOL).  Where that range clears 0 by g = 4*slack /
-    (smallest log step), each step of the interval changes F by more than
-    2*slack, with that sign.  slack is 2*_mi_tol(prior), the error each
-    computed I is trusted to stay within, plus a bound on F's rounding, so the
-    scan's computed comparison has the same sign.  Nothing is certified on the
-    tail-surrogate route, or where g is not finite.
+    M is read at every ``SAMPLE_STRIDE``-th point and at the last, and
+    :func:`_residual_range` bounds the residual 2s*F'(s) on each sample
+    interval, as it does for :func:`smallest_stationary`.  Where that range
+    clears 0 by g = 4*slack / (smallest log step), each step of the interval
+    changes F by more than 2*slack, with that sign.  slack is 2*_mi_tol(prior),
+    the error each computed I is trusted to stay within, plus a bound on F's
+    rounding, so the scan's computed comparison has the same sign.  Nothing is
+    certified on the tail-surrogate route, or where g is not finite.
     """
     signs = np.zeros(s_grid.size - 1)
     log_step = float(np.log(s_grid[1:] / s_grid[:-1]).min())
@@ -234,9 +240,8 @@ def _certified_steps(delta, snr, prior, s_grid):
         return signs
     ends = np.append(np.arange(0, s_grid.size - 1, SAMPLE_STRIDE), s_grid.size - 1)
     m_vals, _ = channel.mmse_eval_curve(prior, s_grid[ends])
-    rising = _residual(delta, snr, s_grid[ends[:-1]], m_vals[1:] - channel.QUAD_TOL) > gap
-    falling = _residual(delta, snr, s_grid[ends[1:]], m_vals[:-1] + channel.QUAD_TOL) < -gap
-    return np.repeat(rising.astype(float) - falling, np.diff(ends))
+    lower, upper = _residual_range(delta, snr, s_grid[ends], m_vals)
+    return np.repeat((lower > gap).astype(float) - (upper < -gap), np.diff(ends))
 
 
 def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandscape:
@@ -256,7 +261,7 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
     The scan reads I only where M leaves the sign of a step open.  By I' =
     M/2, M at every ``SAMPLE_STRIDE``-th point certifies the sign of the steps
     where F is steep (:func:`_certified_steps`).  That trusts M to within
-    ``QUAD_TOL``, as :func:`smallest_stationary`'s skip does, and each I to
+    ``QUAD_TOL``, as :func:`smallest_stationary`'s isolation does, and each I to
     within 2*_mi_tol(prior).  I is read on the runs of ``_CHUNK``-aligned
     chunks that hold an end of an uncertified step, one call per run.  The
     ladder converges per chunk, so these are the values one call on the whole

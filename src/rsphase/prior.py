@@ -72,6 +72,10 @@ class DiscretePrior:
     def log_weight_array(self) -> np.ndarray:
         return np.log(self.weight_array)
 
+    @cached_property
+    def _entropy(self) -> float:
+        return float(-np.sum(self.weight_array * self.log_weight_array))
+
     @property
     def natoms(self) -> int:
         return len(self.atoms)
@@ -118,8 +122,8 @@ def _two_point(epsilon: float) -> DiscretePrior:
 
 
 def entropy(prior: DiscretePrior) -> float:
-    """Shannon entropy of the atom weights, in nats."""
-    return float(-np.sum(prior.weight_array * prior.log_weight_array))
+    """Shannon entropy of the atom weights, in nats, computed once per prior."""
+    return prior._entropy
 
 
 def two_point_entropy(epsilon: float) -> float:

@@ -492,6 +492,32 @@ class TestRuntimeErrors:
         assert err.startswith("error: BracketError: ")
         assert err.count("\n") == 1
 
+    @staticmethod
+    def _failing_isolation(monkeypatch):
+        # A node ladder that does not converge inside smallest_stationary's
+        # isolation, the first step that reads M in both commands below.
+        def unconverged(prior, s_values):
+            raise cli.channel.QuadratureError("Gauss-Hermite refinement did not stabilize")
+
+        monkeypatch.setattr(cli.channel, "mmse_eval_curve", unconverged)
+
+    def test_quadrature_error_in_the_isolation_is_one_line(self, tmp_path, capsys, monkeypatch):
+        self._failing_isolation(monkeypatch)
+        rc = main(["amp", "--p", "200", "--delta", "0.86", "--snr", "10", "--epsilon", "0.1",
+                   "--seeds", "1", "--t-max", "5", "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == ("error: QuadratureError: Gauss-Hermite refinement "
+                                           "did not stabilize\n")
+        assert not (tmp_path / "amp.csv").exists()
+
+    def test_quadrature_error_in_the_isolation_is_one_error_cell(self, tmp_path, monkeypatch):
+        self._failing_isolation(monkeypatch)
+        assert main(["phase", "--epsilons", "0.01", "--snrs", "5", "--rs", "0.5",
+                     "--kinds", "amp", "--out", str(tmp_path)]) == 0
+        _, _, body = read_csv(tmp_path / "phase.csv")
+        assert body == [["0.01", "5", "0.5", "amp", "",
+                         "QuadratureError: Gauss-Hermite refinement did not stabilize"]]
+
     def test_tiny_delta_snr_names_the_cause(self, tmp_path, capsys):
         rc = main(["potential", "--epsilon", "0.1", "--delta", "1e-300",
                    "--snr", "5", "--out", str(tmp_path)])

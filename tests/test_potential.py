@@ -14,10 +14,10 @@ pytest.importorskip("scipy")
 from scipy.optimize import brentq
 
 from rsphase import channel
+from rsphase import potential as potential_module
 from rsphase.channel import QUAD_TOL, mmse, mmse_curve, mutual_info, mutual_info_curve
 from rsphase.potential import (
     BRACKET_PAD,
-    SCAN_POINTS,
     BracketError,
     amp_threshold_ratio,
     limit_minimizers,
@@ -84,6 +84,48 @@ def brute_force_argmin(prior, delta, snr, points=10**6, nodes=121):
     x = grid / (delta * snr)
     f_vals = i_vals + 0.5 * delta * (x - np.log(x) - 1.0)
     return float(grid[np.argmin(f_vals)])
+
+
+def dense_scan_root(prior, delta, snr, points=20_001):
+    """First sign change of the stationary residual on a dense log grid of the
+    admissible interval, refined by brentq as smallest_stationary refines its
+    bracket.  None where the scan resolves no crossing: M at the lower end
+    rounds to the prior's second moment, or the residual is nonnegative there."""
+    lo, hi = stationary_bracket(delta, snr)
+    grid = np.geomspace(lo, hi, points)
+    m_vals, _ = channel.mmse_eval_curve(prior, grid)
+    k = int(np.flatnonzero(grid * m_vals - (delta * snr - grid) / snr >= 0.0)[0])
+    if m_vals[0] >= prior.weight_array @ prior.atom_array ** 2 * (1.0 - 1e-15) or k == 0:
+        return None
+    return brentq(lambda s: s * channel.mmse_eval(prior, s)[0] - (delta * snr - s) / snr,
+                  grid[k - 1], grid[k], xtol=lo * 1e-14, rtol=1e-12)
+
+
+def _curve_reads(monkeypatch):
+    """Sizes of the s arrays passed to channel.mmse_eval_curve from now on."""
+    seen = []
+    curve = channel.mmse_eval_curve
+
+    def counting(prior, s_values):
+        seen.append(np.size(s_values))
+        return curve(prior, s_values)
+
+    monkeypatch.setattr(channel, "mmse_eval_curve", counting)
+    return seen
+
+
+def _isolation_bracket(monkeypatch, delta, snr, prior):
+    """The bracket smallest_stationary hands to brentq, as an array."""
+    brackets = []
+    refine = potential_module.brentq
+
+    def recording(f, a, b, **kw):
+        brackets.append((a, b))
+        return refine(f, a, b, **kw)
+
+    monkeypatch.setattr(potential_module, "brentq", recording)
+    smallest_stationary(delta, snr, prior)
+    return np.array(brackets[0])
 
 
 class TestPotentialValue:
@@ -217,18 +259,15 @@ class TestPotentialDerivative:
             assert abs(fd - potential_deriv(1.2, 2.0, RADEMACHER, s)) <= 1e-5
 
     @pytest.mark.parametrize("snr", [5.0, 1e-6, 1e-12, 1e-14])
-    def test_is_residual_over_2s_at_root_bracket(self, snr):
-        # F' is the stationary residual over 2s, so at the two scan points that
-        # bracket smallest_stationary's root it carries the residual's sign and
-        # value, also at tiny snr, where M + 1/snr - delta/s cancels to a few
-        # ulps of 1/snr: 1e-6 relative at snr 1e-6, 25% at 1e-12, and F' = 0
-        # at the upper point at 1e-14.
+    def test_is_residual_over_2s_at_root_bracket(self, snr, monkeypatch):
+        # F' is the stationary residual over 2s, so at the ends of the bracket
+        # smallest_stationary's isolation hands to brentq it carries the
+        # residual's sign and value, also at tiny snr, where M + 1/snr - delta/s
+        # cancels to a few ulps of 1/snr: 1e-6 relative at snr 1e-6, 25% at
+        # 1e-12, and F' = 0 at the upper end at 1e-14.
         prior = two_point(0.1)
         delta = 1.1 * delta_mmse(two_point_entropy(0.1), snr)
-        lo, hi = stationary_bracket(delta, snr)
-        grid = np.geomspace(lo, hi, SCAN_POINTS)
-        k = int(np.searchsorted(grid, smallest_stationary(delta, snr, prior)))
-        pair = grid[k - 1:k + 1]
+        pair = _isolation_bracket(monkeypatch, delta, snr, prior)
         residual = pair * mmse_curve(prior, pair) - (delta * snr - pair) / snr
         assert residual[0] < 0.0 <= residual[1]
         deriv = potential_deriv(delta, snr, prior, pair)
@@ -301,34 +340,30 @@ class TestSmallestStationary:
 
     @pytest.mark.parametrize("prior, delta, snr", SCAN_CASES.values(), ids=SCAN_CASES.keys())
     def test_early_stop_matches_full_scan(self, prior, delta, snr):
-        # The scan skips points and stops at the first block with a crossing; a
-        # full scan's first crossing, refined the same way, must give the same
-        # root bit for bit.
-        lo, hi = stationary_bracket(delta, snr)
-        grid = np.geomspace(lo, hi, SCAN_POINTS)
-        m_vals, _ = channel.mmse_eval_curve(prior, grid)
-        k = int(np.flatnonzero(grid * m_vals - (delta * snr - grid) / snr >= 0.0)[0])
-
-        def residual(s):
-            return s * channel.mmse_eval(prior, s)[0] - (delta * snr - s) / snr
-
-        root = brentq(residual, grid[k - 1], grid[k], xtol=lo * 1e-14, rtol=1e-12)
-        assert smallest_stationary(delta, snr, prior) == root
+        # The isolation stops reading M once every interval below its first
+        # sign change is certified root-free; its root must be the first
+        # crossing of a dense scan.
+        root = dense_scan_root(prior, delta, snr)
+        assert root is not None
+        assert smallest_stationary(delta, snr, prior) == pytest.approx(root, rel=1e-12, abs=0.0)
 
     def test_scan_skips_the_high_branch(self, monkeypatch):
         # Above the algorithmic threshold the first crossing sits near delta*snr;
-        # the scan reaches it in a few state-evolution steps, not point by point.
-        seen = []
-        curve = channel.mmse_eval_curve
-
-        def counting(prior, s_values):
-            seen.append(len(s_values))
-            return curve(prior, s_values)
-
-        monkeypatch.setattr(channel, "mmse_eval_curve", counting)
+        # M on the edges alone certifies every interval below it.
+        seen = _curve_reads(monkeypatch)
         eps, snr = 1e-4, 5.0
         smallest_stationary(2.0 * delta_amp(two_point_entropy(eps), snr), snr, two_point(eps))
-        assert sum(seen) <= SCAN_POINTS // 10
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("r, points", [(0.499, 1400), (0.5, 600), (0.51, 250)])
+    def test_near_threshold_read_budget(self, r, points, monkeypatch):
+        # Just above delta_ALG(1e-2) / delta_amp = 0.49885, phi - delta nearly
+        # touches 0 below the first root; the isolation splits only the
+        # intervals there, a level per M call.
+        seen = _curve_reads(monkeypatch)
+        prior, delta, snr = _at_amp(1e-2, r)
+        smallest_stationary(delta, snr, prior)
+        assert len(seen) <= 5 and sum(seen) <= points
 
     @pytest.mark.parametrize("prior", [RADEMACHER, two_point(0.1), two_point(1e-16)],
                              ids=["rademacher", "eps0.1", "eps1e-16"])

@@ -115,6 +115,10 @@ class TestEntropy:
     def test_matches_binary_formula(self, eps):
         assert entropy(two_point(eps)) == pytest.approx(two_point_entropy(eps), abs=1e-12)
 
+    def test_computed_once_per_prior(self):
+        # The node kernels read it on every call: the prior keeps the one float.
+        assert entropy(THREE_ATOM) is entropy(THREE_ATOM)
+
     def test_sparse_entropy_ratio_approaches_one(self):
         # H_eps / (eps ln(1/eps)) decreases to 1 and stays below 1 + 2/ln(1/eps).
         ratios = []

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from rsphase import channel, potential
 from rsphase._numerics import brentq
 from rsphase.amp import mc_mmse, mc_mmse_two_point
-from rsphase.potential import SCAN_POINTS, BracketError, smallest_stationary, stationary_bracket
+from rsphase.potential import BracketError, smallest_stationary, stationary_bracket
 from rsphase.prior import (DiscretePrior, entropy, two_point, two_point_entropy,
                            two_point_epsilon)
 from rsphase.thresholds import delta_amp, delta_mmse
@@ -112,7 +112,7 @@ _KNOWN_FAILURE = settings(_PROPERTY, phases=[Phase.explicit, Phase.generate])
     "the surrogate route's trapezoid of M on 8192 even steps of [0, max s] swallows "
     "the transition at s0 = 2 eps ln(1/eps) and puts I far above H (the benchmark's "
     "channel-1e-16 writes I up to 1.5e-3 against H = 3.8e-15); see the CHANGES.md "
-    "FOUND line on mutual_info_eval_curve and ROADMAP item 2, exact two-point I"))
+    "FOUND line on mutual_info_eval_curve and ROADMAP item 3, exact two-point I"))
 @_KNOWN_FAILURE
 @given(SURROGATE_EPS)
 @example(1e-16)
@@ -236,13 +236,14 @@ def test_quadrature_information_independent_of_its_grid(prior, indices):
     _check_chunk_independent(_quadrature_information, prior, indices, 1e-15)
 
 
-def _full_scan_root(delta, snr, prior):
-    """The first sign change of the stationary residual over every scan point,
-    refined as ``smallest_stationary`` refines it.  None where that function
-    must give up: M at the first point rounds to the prior's second moment, or
-    the first point is already past the crossing."""
+def _dense_scan_root(delta, snr, prior):
+    """The first sign change of the stationary residual on 20,001 log-spaced
+    points of the admissible interval, refined as ``smallest_stationary``
+    refines its bracket.  None where the scan resolves no crossing: M at the
+    first point rounds to the prior's second moment, or the first point is
+    already past the crossing."""
     lo, hi = stationary_bracket(delta, snr)
-    grid = np.geomspace(lo, hi, SCAN_POINTS)
+    grid = np.geomspace(lo, hi, 20_001)
     m_vals, _ = channel.mmse_eval_curve(prior, grid)
     k = int(np.flatnonzero(grid * m_vals - (delta * snr - grid) / snr >= 0.0)[0])
     if m_vals[0] >= prior.weight_array @ prior.atom_array ** 2 * (1.0 - 1e-15) or k == 0:
@@ -257,17 +258,17 @@ def _full_scan_root(delta, snr, prior):
 @example(1e-2, 5.0, 0.49885)
 @example(1e-4, 5.0, 2.0)
 def test_smallest_stationary_matches_full_scan(eps, snr, r):
-    # The scan skips the points one state-evolution step certifies and stops at
-    # the first block with a crossing; the root must be the full scan's, bit for
-    # bit, and where the full scan cannot resolve the crossing, the scan must
-    # raise.
+    # The isolation certifies every interval below its bracket root-free, so
+    # its root is a dense scan's first crossing, and where that scan cannot
+    # resolve the crossing, the isolation must raise.
     delta = r * delta_amp(two_point_entropy(eps), snr)
-    root = _full_scan_root(delta, snr, two_point(eps))
+    root = _dense_scan_root(delta, snr, two_point(eps))
     if root is None:
         with pytest.raises(BracketError):
             smallest_stationary(delta, snr, two_point(eps))
     else:
-        assert smallest_stationary(delta, snr, two_point(eps)) == root
+        assert smallest_stationary(delta, snr, two_point(eps)) == pytest.approx(root, rel=1e-12,
+                                                                                abs=0.0)
 
 
 def _full_scan_f(delta, snr, prior):
