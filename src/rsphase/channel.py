@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _numerics
-from .prior import DiscretePrior, _check_epsilon, entropy, two_point_epsilon
+from .prior import DiscretePrior, _check_epsilon, entropy
 
 QUAD_TOL = 1e-8
 # The ladder serves I and many-atom M.  One doubling past 961: at spike weights
@@ -203,6 +203,7 @@ def _log_posteriors(prior: DiscretePrior, s_arr: np.ndarray, z: np.ndarray, ws):
         yield w_j, a_j, ll
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _mmse_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
     """Fixed-node Gauss-Hermite quadrature of the posterior-mean squared error."""
     z, wq = _gh(n)
@@ -220,6 +221,9 @@ def _mmse_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
                 err += q_k
         err /= norm
         out += w_j * (np.multiply(err, err, out=err) @ wq)
+    # Near the top of the double range the log posteriors overflow and a point
+    # comes out NaN; it gets M's s -> inf limit.
+    out[np.isnan(out)] = 0.0
     return out
 
 
@@ -302,6 +306,7 @@ def _remainder(lwd: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return total / b
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _mi_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
     """Fixed-node quadrature of H(prior) minus the mean posterior entropy.
 
@@ -331,20 +336,23 @@ def _mi_nodes(prior: DiscretePrior, s_arr: np.ndarray, n: int) -> np.ndarray:
             np.divide(e, t, out=t)
             np.multiply(t, ad, out=t)
             post_ent += w_j * (np.add(np.log1p(e, out=e), t, out=e) @ wq)
-        return np.maximum(entropy(prior) - post_ent, 0.0)
-    ws = _scratch(shape, 2 * prior.natoms + 2)
-    norm, q = ws[-2:]
-    for w_j, _, ll in _log_posteriors(prior, s_arr, z, ws):
-        # One q_k = exp(ll_k) at a time: norm sums them, and ll_k becomes q_k * ll_k.
-        for k, ll_k in enumerate(ll):
-            q_k = np.exp(ll_k, out=q if k else norm)
-            if k:
-                norm += q_k
-            ll_k *= q_k
-        ent = _fold(np.add, ll, ll[0])
-        ent /= norm
-        np.subtract(np.log(norm, out=norm), ent, out=ent)
-        post_ent += w_j * (ent @ wq)
+    else:
+        ws = _scratch(shape, 2 * prior.natoms + 2)
+        norm, q = ws[-2:]
+        for w_j, _, ll in _log_posteriors(prior, s_arr, z, ws):
+            # One q_k = exp(ll_k) at a time: norm sums them, and ll_k becomes q_k * ll_k.
+            for k, ll_k in enumerate(ll):
+                q_k = np.exp(ll_k, out=q if k else norm)
+                if k:
+                    norm += q_k
+                ll_k *= q_k
+            ent = _fold(np.add, ll, ll[0])
+            ent /= norm
+            np.subtract(np.log(norm, out=norm), ent, out=ent)
+            post_ent += w_j * (ent @ wq)
+    # Near the top of the double range the log-likelihoods overflow and a point
+    # comes out NaN; it gets the s -> inf limit, no posterior entropy, so I = H.
+    post_ent[np.isnan(post_ent)] = 0.0
     return np.maximum(entropy(prior) - post_ent, 0.0)
 
 
@@ -524,10 +532,13 @@ def mutual_info_q_approx(epsilon: float, s):
 
 
 def approx_epsilon(prior: DiscretePrior):
-    """Spike weight if this prior must route through the tail surrogate, else None."""
-    eps = two_point_epsilon(prior)
-    if eps is not None and eps < APPROX_EPSILON:
-        return eps
+    """Spike weight if this prior must route through the tail surrogate, else None.
+
+    The spike is a two-atom prior's smaller weight, so the mirror image of
+    ``two_point(eps)`` (atoms negated, weights swapped), the same channel, routes alike.
+    """
+    if prior.natoms == 2 and min(prior.weights) < APPROX_EPSILON:
+        return min(prior.weights)
     return None
 
 

@@ -262,14 +262,14 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
     M/2, M at every ``SAMPLE_STRIDE``-th point certifies the sign of the steps
     where F is steep (:func:`_certified_steps`).  That trusts M to within
     ``QUAD_TOL``, as :func:`smallest_stationary`'s isolation does, and each I to
-    within 2*_mi_tol(prior).  I is read on the runs of ``_CHUNK``-aligned
-    chunks that hold an end of an uncertified step, one call per run.  The
-    ladder converges per chunk, so these are the values one call on the whole
-    grid gives, and the candidates, the local minima of that full scan, come
-    out the same: a step with both ends read is compared as the full scan
-    compares it, any other takes its certified sign.  On the tail-surrogate
-    route, whose I depends on the grid's largest s, nothing is certified and
-    the whole grid is read in one call.
+    within 2*_mi_tol(prior).  I is read in one call on the ``_CHUNK``-aligned
+    chunks that hold an end of an uncertified step; only the last is short, so
+    these points re-form the grid's chunks, where the ladder converges, and get
+    the values one call on the whole grid gives.  The candidates, the local
+    minima of that full scan, come out the same: a step with both ends read is
+    compared as the full scan compares it, any other takes its certified sign.
+    On the tail-surrogate route, whose I depends on the grid's largest s,
+    nothing is certified and the whole grid is read.
     """
     delta, snr = _check_params(delta, snr)
     lo, hi = stationary_bracket(delta, snr)
@@ -282,10 +282,8 @@ def minimize(delta: float, snr: float, prior: DiscretePrior) -> PotentialLandsca
     open_chunks[chunk_of[open_steps]] = open_chunks[chunk_of[open_steps + 1]] = True
     read = open_chunks[chunk_of]
     f_vals = np.zeros(GRID_POINTS)
-    # One call per run [a, b) of read points: the runs start on chunk boundaries.
-    for a, b in np.flatnonzero(np.diff(read, prepend=False, append=False)).reshape(-1, 2):
-        i_vals, _ = channel.mutual_info_eval_curve(prior, s_grid[a:b])
-        f_vals[a:b] = i_vals + 0.5 * delta * _logdiv(s_grid[a:b] / (delta * snr))
+    i_vals, _ = channel.mutual_info_eval_curve(prior, s_grid[read])
+    f_vals[read] = i_vals + 0.5 * delta * _logdiv(s_grid[read] / (delta * snr))
     # A step with both ends read is compared as the full scan compares it;
     # every other step is certified.
     rises = np.where(read[:-1] & read[1:], np.diff(f_vals), signs)

@@ -448,6 +448,43 @@ class TestEvalModes:
         assert normalized_curve(eps, 0.5, 5.0, []).shape == (0,)
 
 
+def _mirrored(prior):
+    """The mirror image of a prior, atoms negated and weights reversed: the same channel."""
+    return DiscretePrior(tuple(-a for a in reversed(prior.atoms)), tuple(reversed(prior.weights)))
+
+
+class TestMirroredTwoPoint:
+    """A two-point prior is routed by its smaller weight, in either orientation."""
+
+    T = np.geomspace(0.01, 100.0, 400)
+    EVALS = (channel.mmse_eval_curve, channel.mutual_info_eval_curve, mutual_info_eval)
+
+    @pytest.mark.parametrize("eps", [1e-13, 1e-16, 1e-50])
+    def test_surrogate_route_is_bit_for_bit(self, eps):
+        # On the node ladder the mirror of two_point(1e-16) reads I/H = 1.00280
+        # at t = 2, above 1; here both read 0.99990.
+        prior, mirror = two_point(eps), _mirrored(two_point(eps))
+        assert channel.approx_epsilon(mirror) == channel.approx_epsilon(prior) == eps
+        s = 2.0 * two_point_entropy(eps) * self.T
+        for fn in self.EVALS:
+            (v_mirror, mode_mirror), (v, mode) = fn(mirror, s), fn(prior, s)
+            assert mode_mirror == mode == channel.MODE_APPROX
+            np.testing.assert_array_equal(v_mirror, v)
+
+    def test_quadrature_route_matches(self):
+        eps = 1e-4
+        prior, mirror = two_point(eps), _mirrored(two_point(eps))
+        assert channel.approx_epsilon(mirror) is None
+        h = two_point_entropy(eps)
+        s = 2.0 * h * self.T
+        for fn in self.EVALS:
+            (v_mirror, mode_mirror), (v, mode) = fn(mirror, s), fn(prior, s)
+            assert mode_mirror == mode == channel.MODE_QUADRATURE
+            np.testing.assert_allclose(v_mirror, v, rtol=1e-12, atol=0.0)
+        for p in (prior, mirror):
+            assert np.all(channel.mutual_info_eval_curve(p, s)[0] <= h)
+
+
 class TestScalarWrappers:
     """Scalar evaluations are the size-1 case of the curve evaluations."""
 

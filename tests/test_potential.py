@@ -5,6 +5,7 @@ oracles for the optimizer and the exact-derivative formula.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -393,8 +394,13 @@ class TestSmallestStationary:
             with pytest.raises(ValueError, match=r"^delta\*snr = .* padded scan grid's upper "
                                                  "end overflows"):
                 call()
+        # Just below, M is read where the ternary prior's Gauss-Hermite kernel
+        # overflows, and its s -> inf limit, 0, is used there.
         lo, hi = stationary_bracket(1.0, 1.794e308)
-        assert lo < smallest_stationary(1.0, 1.794e308, prior) <= hi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (prior, TERNARY):
+                assert lo < smallest_stationary(1.0, 1.794e308, p) <= hi
 
     def test_subnormal_snr_is_rejected(self):
         # 1/snr overflows.  delta*snr = 1e-300 is normal, so snr is named itself.

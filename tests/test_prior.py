@@ -195,6 +195,12 @@ class TestSpecRoundTrip:
         assert two_point_epsilon(prior) == pytest.approx(0.05)
         assert prior_to_spec(prior) == {"kind": "two_point", "epsilon": 0.05}
 
+    def test_spike_weight_above_one_half_round_trips(self):
+        # The spike is the larger atom's weight, even where it is the larger weight.
+        prior = two_point(0.7)
+        assert two_point_epsilon(prior) == 0.7
+        assert prior_from_spec(prior_to_spec(prior)) == prior
+
     def test_discrete_spec(self):
         spec = prior_to_spec(THREE_ATOM)
         assert spec["kind"] == "discrete"

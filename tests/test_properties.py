@@ -20,6 +20,7 @@ function of s or t, on fixed inputs.
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -378,9 +379,29 @@ def _scan_reads(monkeypatch, delta, snr, prior):
         seen.append(len(s_values))
         return curve(prior, s_values)
 
-    monkeypatch.setattr(channel, "mutual_info_eval_curve", counting)
-    potential.minimize(delta, snr, prior)
+    with monkeypatch.context() as patch:
+        patch.setattr(channel, "mutual_info_eval_curve", counting)
+        potential.minimize(delta, snr, prior)
     return seen
+
+
+# The quadrature-route mmse cells of the phase sweep, and the landscape
+# benchmark's potential operations: delta 1.1 times the information threshold
+# at snr 5, and the ternary prior at delta 0.8.
+PHASE_SCAN_CASES = {name: case for name, case in MINIMIZE_CASES.items()
+                    if name.startswith("phase-")}
+POTENTIAL_SCAN_CASES = {**{f"potential-{eps:g}": _at_threshold(eps, 1.1)
+                           for eps in (0.1, 1e-4, 1e-8, 1e-16)},
+                        "potential-ternary": (TERNARY, 0.8, 5.0)}
+
+
+def test_scan_reads_i_in_at_most_one_call(monkeypatch):
+    reads = {name: _scan_reads(monkeypatch, delta, snr, prior) for name, (prior, delta, snr)
+             in {**PHASE_SCAN_CASES, **POTENTIAL_SCAN_CASES}.items()}
+    assert all(len(sizes) <= 1 for sizes in reads.values()), reads
+    # The read chunks are whole but the grid's short last one, which comes
+    # last, so one call re-forms them and reads what one call per run read.
+    assert sum(sum(reads[name]) for name in PHASE_SCAN_CASES) == 18_320
 
 
 def test_scan_reads_i_in_one_chunk_where_f_is_steep(monkeypatch):
@@ -476,3 +497,20 @@ def test_two_point_mmse_past_the_double_range_is_zero_without_warning():
     # s*D^2/2 overflows there; the suite turns a RuntimeWarning into a failure.
     assert channel.mmse(two_point(0.1), 5e307) == 0.0
     assert np.array_equal(channel.mmse_curve(two_point(0.5), [1e308, 1.7e308]), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("prior, s", [(two_point(0.1), 2e307), (TERNARY, 1e307), (TERNARY, 5e307),
+                                      (two_point(1e-8), 1e301), (TERNARY, 1.7976931348623157e308)],
+                         ids=["eps0.1-2e307", "ternary-1e307", "ternary-5e307", "eps1e-8-1e301",
+                              "ternary-max"])
+def test_channel_answers_with_its_limit_at_the_top_of_the_double_range(prior, s):
+    # The node kernels' intermediates overflow there, and every rung came out
+    # NaN; each point takes the s -> inf limit, M = 0 and I = H.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert channel.mmse(prior, s) == 0.0
+        assert channel.mutual_info(prior, s) == entropy(prior)
+        assert channel.mutual_info_eval(prior, s) == (entropy(prior), channel.MODE_QUADRATURE)
+        for nodes in channel.NODE_LADDER:
+            assert channel.mmse_curve(prior, [s], nodes=nodes)[0] == 0.0
+            assert channel.mutual_info_curve(prior, [s], nodes=nodes)[0] == entropy(prior)
